@@ -15,8 +15,7 @@ from repro.common.errors import SnapshotError
 from repro.vm.ksm import KsmDaemon
 from repro.vm.machine import VirtualMachine
 from repro.vm.memory import OsImage
-from repro.vm.snapshots import (ClusterSnapshot, DeltaClusterSnapshot,
-                                SnapshotManager)
+from repro.vm.snapshots import ClusterSnapshot, SnapshotManager
 from repro.vm.timing import VmTimingModel
 
 
@@ -86,14 +85,14 @@ class VmCluster:
 
     # -------------------------------------------------------------- snapshot
 
-    def save_snapshot(self, shared: bool = True, max_bandwidth: bool = True,
-                      ksm_scan: bool = True) -> ClusterSaveResult:
+    def save_snapshot(self, shared: bool = True,
+                      max_bandwidth: bool = True) -> ClusterSaveResult:
         """Pause-sync-scan-save, per the paper's snapshot procedure."""
         pause_time = 0.0
         if not self.all_paused:
             pause_time = self.pause_all()
         sync_bytes = sum(vm.sync_app_pages() for vm in self.vms.values())
-        if shared and self.ksm is not None and ksm_scan:
+        if shared and self.ksm is not None:
             self.ksm.scan()
         snapshot = self.snapshot_manager.save(
             [vm.memory for vm in self.vms.values()],
@@ -121,11 +120,8 @@ class VmCluster:
         """
         if not self.all_paused:
             self.pause_all()
-        memories = [vm.memory for vm in self.vms.values()]
-        if isinstance(snapshot, DeltaClusterSnapshot):
-            self.snapshot_manager.load_delta(snapshot, memories)
-        else:
-            self.snapshot_manager.load(snapshot, memories)
+        self.snapshot_manager.load(
+            snapshot, [vm.memory for vm in self.vms.values()])
         for vm in self.vms.values():
             vm.restore_app()
         return snapshot.load_time

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.common.errors import SnapshotError
 from repro.common.units import MIB, PAGE_SIZE, pages_for
@@ -81,7 +81,19 @@ class OsImage:
 
 
 class GuestMemory:
-    """Resident page set of one VM, with dirty tracking for KSM."""
+    """Resident page set of one VM, with dirty and change tracking for KSM.
+
+    The page table is kept in pfn order (the OS region is populated in
+    order, app pages grow and shrink at the tail, and restores re-sort the
+    rare out-of-order install), so :meth:`iter_pages` never sorts.
+
+    Two logs feed the incremental KSM scan: the *dirty* set (pages written
+    since the last scan, which KSM skips as volatile) and the *change* log
+    (every pfn written, removed, or replaced by a restore since the last
+    scan, with the page it held at that scan).  ``clear_dirty`` clears only
+    the first; the change log is consumed by the one KSM daemon the guest
+    is registered with (:meth:`take_changes`).
+    """
 
     # pfn layout: [0, shared_pages) OS image, then unique pages, then app.
     def __init__(self, vm_name: str, image: OsImage) -> None:
@@ -89,6 +101,7 @@ class GuestMemory:
         self.image = image
         self._pages: Dict[int, Page] = {}
         self._dirty: set = set()
+        self._changes: Dict[int, Optional[Page]] = {}
         self._app_base = image.shared_pages + image.unique_pages
         self._app_pages = 0
         self._populate_os_pages()
@@ -101,6 +114,12 @@ class GuestMemory:
             pfn = base + i
             self._pages[pfn] = Page(
                 synthetic_digest(f"{self.image.name}:{self.vm_name}", i))
+
+    def _note(self, pfn: int) -> None:
+        """Log ``pfn`` as changed, keeping the page it held at the last
+        scan."""
+        if pfn not in self._changes:
+            self._changes[pfn] = self._pages.get(pfn)
 
     # ------------------------------------------------------------- app pages
 
@@ -115,10 +134,12 @@ class GuestMemory:
                     chunk = chunk + b"\x00" * (PAGE_SIZE - len(chunk))
                 page = Page(digest_bytes(chunk), chunk)
                 if self._pages.get(pfn) != page:
+                    self._note(pfn)
                     self._pages[pfn] = page
                     self._dirty.add(pfn)
-            else:
-                self._pages.pop(pfn, None)
+            elif pfn in self._pages:
+                self._note(pfn)
+                del self._pages[pfn]
                 self._dirty.discard(pfn)
         self._app_pages = new_count
 
@@ -152,7 +173,12 @@ class GuestMemory:
         return pfn in self._pages
 
     def iter_pages(self) -> Iterator[Tuple[int, Page]]:
-        return iter(sorted(self._pages.items()))
+        """Resident ``(pfn, page)`` pairs in pfn order."""
+        return iter(self._pages.items())
+
+    def page_table(self) -> Dict[int, Page]:
+        """The live pfn-ordered page table; callers must not mutate it."""
+        return self._pages
 
     # --------------------------------------------------------- dirty tracking
 
@@ -167,13 +193,50 @@ class GuestMemory:
         if pfn in self._pages:
             self._dirty.add(pfn)
 
+    def pending_changes(self) -> Dict[int, Optional[Page]]:
+        """pfn -> page held at the last scan (None: was not resident), for
+        every pfn changed since; callers must not mutate it."""
+        return self._changes
+
+    def take_changes(self) -> Dict[int, Optional[Page]]:
+        """Return and reset the change log (see :meth:`pending_changes`)."""
+        changes, self._changes = self._changes, {}
+        return changes
+
     # ---------------------------------------------------------------- restore
 
-    def load_pages(self, pages: Dict[int, Page], app_pages: int) -> None:
-        """Replace the entire resident set (used by snapshot restore)."""
-        self._pages = dict(pages)
+    def install_pages(self, put: Sequence[Tuple[int, Page]],
+                      drop: Iterable[int], app_pages: int) -> None:
+        """Apply a restore diff: drop pfns, (re)install pages, clear dirty.
+
+        ``put`` must be in pfn order.  Only the pages a restore actually
+        changes pass through here, so its cost tracks the diff.
+        """
+        pages = self._pages
+        for pfn in drop:
+            self._note(pfn)
+            del pages[pfn]
+        tail = next(reversed(pages), -1)
+        ordered = True
+        for pfn, page in put:
+            self._note(pfn)
+            if pfn not in pages:
+                if pfn < tail:
+                    ordered = False
+                tail = max(tail, pfn)
+            pages[pfn] = page
+        if not ordered:
+            self._pages = dict(sorted(pages.items()))
         self._app_pages = app_pages
         self._dirty = set()
+
+    def load_pages(self, pages: Dict[int, Page], app_pages: int) -> None:
+        """Replace the entire resident set with ``pages``."""
+        current = self._pages
+        self.install_pages(
+            [(pfn, page) for pfn, page in sorted(pages.items())
+             if current.get(pfn) != page],
+            [pfn for pfn in current if pfn not in pages], app_pages)
 
     def export_pages(self) -> Tuple[Dict[int, Page], int]:
         return dict(self._pages), self._app_pages

@@ -17,7 +17,10 @@ paper measures in Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.common.errors import SnapshotError
 from repro.common.units import PAGE_SIZE
@@ -31,14 +34,26 @@ _RECORD_HEADER = 9
 _DIGEST_REF = 16
 
 
-@dataclass(frozen=True)
-class PageRecord:
-    """One page entry inside a VM snapshot file."""
+class PageRecord(NamedTuple):
+    """One page entry inside a VM snapshot file.
+
+    ``page`` is the guest page the record was taken from.  Records are
+    immutable, so consecutive snapshots share the records of unchanged
+    pages by reference.  A shared record stores only its digest (the
+    content lives once in the shared page map), so its ``content`` is None.
+    """
 
     pfn: int
     shared: bool
-    digest: bytes
-    content: Optional[bytes] = None  # None for shared refs / synthetic pages
+    page: Page
+
+    @property
+    def digest(self) -> bytes:
+        return self.page.digest
+
+    @property
+    def content(self) -> Optional[bytes]:
+        return None if self.shared else self.page.content
 
     def stored_bytes(self) -> int:
         if self.shared:
@@ -48,17 +63,24 @@ class PageRecord:
 
 @dataclass
 class VmSnapshot:
-    """Snapshot file of a single VM."""
+    """Snapshot file of a single VM.
+
+    ``shared_count`` (the records that are shared references) is counted
+    once while the records are built, so sizes never re-sum the records.
+    """
 
     vm_name: str
     records: List[PageRecord]
     app_page_count: int
+    shared_count: int
 
     def stored_bytes(self) -> int:
-        return sum(r.stored_bytes() for r in self.records)
+        private = len(self.records) - self.shared_count
+        return (self.shared_count * (_RECORD_HEADER + _DIGEST_REF)
+                + private * (_RECORD_HEADER + PAGE_SIZE))
 
     def shared_refs(self) -> int:
-        return sum(1 for r in self.records if r.shared)
+        return self.shared_count
 
 
 @dataclass
@@ -197,12 +219,20 @@ class SnapshotStore:
 
 
 class SnapshotManager:
-    """Implements save/load for a set of guests, with optional page sharing."""
+    """Implements save/load for a set of guests, with optional page sharing.
+
+    Wall cost tracks what changed, while the modelled cost (from the same
+    page and byte counts) is unchanged: a save reuses the previous save's
+    record for every page whose object and shared flag are the same, and a
+    restore installs only the pages that differ from the live table.
+    """
 
     def __init__(self, ksm: Optional[KsmDaemon] = None,
                  timing: Optional[VmTimingModel] = None) -> None:
         self.ksm = ksm
         self.timing = timing or VmTimingModel()
+        #: vm name -> records of its last save, reused by the next one
+        self._previous: Dict[str, List[PageRecord]] = {}
 
     # ------------------------------------------------------------------ save
 
@@ -211,18 +241,8 @@ class SnapshotManager:
         if shared and self.ksm is None:
             raise SnapshotError("shared snapshots require a KSM daemon")
         shared_map = SharedPageMap() if shared else None
-        vm_snapshots: List[VmSnapshot] = []
-        for memory in memories:
-            records: List[PageRecord] = []
-            for pfn, page in memory.iter_pages():
-                if shared and self.ksm.is_shared(memory.vm_name, pfn, page):
-                    shared_map.pages.setdefault(page.digest, page)
-                    records.append(PageRecord(pfn, True, page.digest))
-                else:
-                    records.append(
-                        PageRecord(pfn, False, page.digest, page.content))
-            vm_snapshots.append(
-                VmSnapshot(memory.vm_name, records, memory.app_page_count()))
+        vm_snapshots = [self._save_vm(memory, shared_map)
+                        for memory in memories]
 
         payload = sum(s.stored_bytes() for s in vm_snapshots)
         if shared_map is not None:
@@ -234,42 +254,111 @@ class SnapshotManager:
             "shared" if shared else "plain", vm_snapshots, shared_map,
             save_time, load_time)
 
+    def _save_vm(self, memory: GuestMemory,
+                 shared_map: Optional[SharedPageMap]) -> VmSnapshot:
+        merged = (self.ksm.shared_pfns(memory) if shared_map is not None
+                  else ())
+        share = shared_map.pages.setdefault if shared_map is not None else None
+        records: List[PageRecord] = []
+        append = records.append
+        shared_count = 0
+        previous = chain(self._previous.get(memory.vm_name, ()),
+                         repeat(None))
+        for record, (pfn, page) in zip(previous, memory.iter_pages()):
+            flag = pfn in merged
+            if (record is None or record.page is not page
+                    or record.pfn != pfn or record.shared is not flag):
+                record = PageRecord(pfn, flag, page)
+            append(record)
+            if flag:
+                shared_count += 1
+                share(page.digest, page)
+        self._previous[memory.vm_name] = records
+        return VmSnapshot(memory.vm_name, records, memory.app_page_count(),
+                          shared_count)
+
     # ------------------------------------------------------------------ load
 
-    def _stage(self, snapshot: ClusterSnapshot,
-               memories: Sequence[GuestMemory]
-               ) -> List[List]:
-        """Reconstruct every VM's page table without touching guest memory.
+    def _stage(self, snapshot, memories: Sequence[GuestMemory]) -> List[Tuple]:
+        """Diff every VM's saved page table against its live one.
 
+        ``snapshot`` is a :class:`ClusterSnapshot` or a
+        :class:`DeltaClusterSnapshot` (its base overlaid with the delta).
         Restores are applied in two phases — stage everything (where any
-        missing guest, dangling shared reference, or corrupt record
-        surfaces as a :class:`SnapshotError`), then commit — so a failed
-        restore leaves every guest's memory exactly as it was.
+        missing guest or dangling shared reference surfaces as a
+        :class:`SnapshotError`), then commit only the differing pages — so
+        a failed restore leaves every guest's memory exactly as it was.
         """
+        if isinstance(snapshot, DeltaClusterSnapshot):
+            base = snapshot.base
+            deltas = {d.vm_name: d for d in snapshot.vm_deltas}
+        else:
+            base, deltas = snapshot, {}
         by_name = {m.vm_name: m for m in memories}
-        staged: List[List] = []
-        for vm_snap in snapshot.vm_snapshots:
+        staged: List[Tuple] = []
+        for vm_snap in base.vm_snapshots:
             memory = by_name.get(vm_snap.vm_name)
             if memory is None:
                 raise SnapshotError(
                     f"no guest named {vm_snap.vm_name} to restore into")
-            pages: Dict[int, Page] = {}
-            for record in vm_snap.records:
-                if record.shared:
-                    if snapshot.shared_map is None:
-                        raise SnapshotError(
-                            f"{vm_snap.vm_name}: shared ref without a map")
-                    pages[record.pfn] = snapshot.shared_map.lookup(
-                        record.digest)
-                else:
-                    pages[record.pfn] = Page(record.digest, record.content)
-            staged.append([memory, pages, vm_snap.app_page_count])
+            staged.append(self._diff(memory, vm_snap, base.shared_map,
+                                     deltas.pop(vm_snap.vm_name, None)))
+        if deltas:
+            raise SnapshotError(
+                f"no guest named {next(iter(deltas))} to restore into")
         return staged
 
-    def load(self, snapshot: ClusterSnapshot,
+    @staticmethod
+    def _diff(memory: GuestMemory, vm_snap: VmSnapshot,
+              shared_map: Optional[SharedPageMap],
+              delta: Optional["DeltaVmSnapshot"]) -> Tuple:
+        """(memory, pages to install, pfns to drop, app page count)."""
+        if delta is None:
+            targets = vm_snap.records
+            app_page_count = vm_snap.app_page_count
+        else:
+            replaced = set(delta.removed)
+            replaced.update(r.pfn for r in delta.changed)
+            targets = [r for r in vm_snap.records if r.pfn not in replaced]
+            targets += delta.changed
+            app_page_count = delta.app_page_count
+        table = memory.page_table()
+        current = table.get
+        shared = shared_map.pages if shared_map is not None else None
+        put: List[Tuple[int, Page]] = []
+        absent = 0
+        for record in targets:
+            pfn, is_shared, page = record
+            if is_shared:
+                if shared is None:
+                    raise SnapshotError(
+                        f"{vm_snap.vm_name}: shared ref without a map")
+                if page.digest not in shared:
+                    raise SnapshotError(f"shared page map missing digest "
+                                        f"{page.digest.hex()}")
+            live = current(pfn)
+            if live is page:
+                continue
+            if is_shared:
+                page = shared[page.digest]
+            if live is None:
+                absent += 1
+            elif live.digest == page.digest and live.content == page.content:
+                continue
+            put.append((pfn, page))
+        put.sort(key=itemgetter(0))
+        drop: List[int] = []
+        if len(table) > len(targets) - absent:
+            keep = {r.pfn for r in targets}
+            drop = [pfn for pfn in table if pfn not in keep]
+        return memory, put, drop, app_page_count
+
+    def load(self, snapshot: Union[ClusterSnapshot, "DeltaClusterSnapshot"],
              memories: Sequence[GuestMemory]) -> None:
-        for memory, pages, app_page_count in self._stage(snapshot, memories):
-            memory.load_pages(pages, app_page_count)
+        """Restore a full or delta snapshot into ``memories``."""
+        for memory, put, drop, app_page_count in self._stage(snapshot,
+                                                             memories):
+            memory.install_pages(put, drop, app_page_count)
 
     # ----------------------------------------------------- delta snapshots
     #
@@ -282,27 +371,19 @@ class SnapshotManager:
     def save_delta(self, memories: Sequence[GuestMemory],
                    base: ClusterSnapshot,
                    max_bandwidth: bool = True) -> "DeltaClusterSnapshot":
-        base_index: Dict[str, Dict[int, bytes]] = {}
-        base_counts: Dict[str, int] = {}
-        for vm_snap in base.vm_snapshots:
-            base_index[vm_snap.vm_name] = {
-                r.pfn: r.digest for r in vm_snap.records}
-            base_counts[vm_snap.vm_name] = vm_snap.app_page_count
-
+        by_name = {vm_snap.vm_name: vm_snap for vm_snap in base.vm_snapshots}
         deltas: List[DeltaVmSnapshot] = []
         for memory in memories:
-            known = base_index.get(memory.vm_name)
-            if known is None:
+            vm_snap = by_name.get(memory.vm_name)
+            if vm_snap is None:
                 raise SnapshotError(
                     f"base snapshot has no VM named {memory.vm_name}")
-            changed: List[PageRecord] = []
-            present = set()
-            for pfn, page in memory.iter_pages():
-                present.add(pfn)
-                if known.get(pfn) != page.digest:
-                    changed.append(
-                        PageRecord(pfn, False, page.digest, page.content))
-            removed = sorted(set(known) - present)
+            known = {r.pfn: r.page.digest for r in vm_snap.records}
+            changed = [PageRecord(pfn, False, page)
+                       for pfn, page in memory.iter_pages()
+                       if known.get(pfn) != page.digest]
+            table = memory.page_table()
+            removed = [pfn for pfn in known if pfn not in table]
             deltas.append(DeltaVmSnapshot(memory.vm_name, changed, removed,
                                           memory.app_page_count()))
 
@@ -315,25 +396,10 @@ class SnapshotManager:
 
     def load_delta(self, snapshot: "DeltaClusterSnapshot",
                    memories: Sequence[GuestMemory]) -> None:
-        # Overlay each delta onto the *staged* base page tables, never onto
-        # live guest memory: a SnapshotError anywhere mid-restore (missing
-        # guest, dangling shared ref) must leave all guests untouched
-        # rather than half base-restored.
-        staged = self._stage(snapshot.base, memories)
-        by_name = {entry[0].vm_name: entry for entry in staged}
-        for delta in snapshot.vm_deltas:
-            entry = by_name.get(delta.vm_name)
-            if entry is None:
-                raise SnapshotError(
-                    f"no guest named {delta.vm_name} to restore into")
-            __, pages, __count = entry
-            for pfn in delta.removed:
-                pages.pop(pfn, None)
-            for record in delta.changed:
-                pages[record.pfn] = Page(record.digest, record.content)
-            entry[2] = delta.app_page_count
-        for memory, pages, app_page_count in staged:
-            memory.load_pages(pages, app_page_count)
+        # One restore path: the delta is overlaid on the base while
+        # staging, never on live guest memory, so a SnapshotError anywhere
+        # (missing guest, dangling shared ref) leaves all guests untouched.
+        self.load(snapshot, memories)
 
     # -------------------------------------------------------------- analysis
 

@@ -82,8 +82,13 @@ class TestKsm:
             g.clear_dirty()
             ksm.register(g)
         ksm.scan()
+        assert ksm.stats.pages_shared == SMALL.shared_pages
         ksm.unregister("vm1")
         assert not ksm.is_shared("vm0", 0, guests[0].page(0))
+        # the stats follow the pruned table, not the last scan
+        assert ksm.stats.pages_shared == 0
+        assert ksm.stats.pages_sharing == 0
+        assert ksm.sharing_ratio() <= 1.0
 
 
 class TestSnapshots:
@@ -216,3 +221,60 @@ class TestCompareDegenerate:
         plain = manager.save([], shared=False)
         shared = manager.save([], shared=True)
         assert SnapshotManager.compare(plain, shared) == (0.0, 0.0)
+
+
+class _SequenceSender:
+    """Table II's measurement app: hostname plus a counter (mirrors
+    ``benchmarks/bench_table2_snapshots.py``)."""
+
+    def __init__(self, hostname):
+        self.hostname = hostname
+        self.sequence = 0
+        self.sent = []
+
+    def tick(self):
+        self.sequence += 1
+        self.sent.append(f"{self.hostname}:{self.sequence}")
+
+    def snapshot_state(self):
+        return {"hostname": self.hostname, "sequence": self.sequence,
+                "sent": list(self.sent)}
+
+    def restore_state(self, state):
+        self.hostname = state["hostname"]
+        self.sequence = state["sequence"]
+        self.sent = list(state["sent"])
+
+
+class TestTableTwoPins:
+    """Table II to the digit: the modelled save/load times and stored bytes
+    of the ``run_cluster`` workload (plain save, resume, shared save on one
+    cluster).  Any change to the snapshot path must leave these exact."""
+
+    PINS = {
+        # n_vms: ((plain save, load, bytes), (shared save, load, bytes))
+        5: ((5.561841249465942, 0.038, 556986925),
+            (3.6530912494659424, 0.038, 356839981)),
+        10: ((11.123682498931885, 0.076, 1113973850),
+             (6.824307498931884, 0.076, 663151706)),
+        15: ((16.685523748397827, 0.114, 1670960775),
+             (9.995523748397828, 0.114, 969463431)),
+    }
+
+    @pytest.mark.parametrize("n_vms", [5, 10, 15])
+    def test_run_cluster_exact(self, n_vms):
+        from repro.vm.manager import VmCluster
+
+        cluster = VmCluster([f"vm{i}" for i in range(n_vms)])
+        cluster.boot_all()
+        for vm in cluster.machines():
+            vm.app = _SequenceSender(vm.name)
+            for __ in range(30):
+                vm.app.tick()
+        plain = cluster.save_snapshot(shared=False).snapshot
+        cluster.resume_all()
+        shared = cluster.save_snapshot(shared=True).snapshot
+        got = tuple((s.save_time, s.load_time, s.stored_bytes())
+                    for s in (plain, shared))
+        assert got == self.PINS[n_vms]
+        assert shared.page_counts()["pages_shared"] == 12288 * n_vms
