@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Durable hunts: kill -9 safety and bounded snapshot memory in one script.
 
-``--checkpoint`` survives a polite Ctrl-C; the run store survives an
-impolite ``kill -9`` mid-pass.  This example demonstrates the durability
-layer end to end:
+The run store (``--store DIR``) survives a polite Ctrl-C and an impolite
+``kill -9`` mid-pass alike.  This example demonstrates the durability layer
+end to end:
 
 1. a plain PBFT hunt as the byte-identity reference;
 2. the same hunt with a run store (``store_dir``) — probes are committed

@@ -441,8 +441,6 @@ def cmd_hunt(args) -> int:
         types = [t.strip() for t in args.types.split(",") if t.strip()]
     elif entry.active_types:
         types = list(entry.active_types)
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint PATH")
     snapshot_budget = None
     if args.snapshot_budget is not None:
         from repro.store.budget import parse_bytes
@@ -461,8 +459,6 @@ def cmd_hunt(args) -> int:
                   fault_schedule=_fault_schedule(args),
                   watchdog_limit=args.watchdog,
                   max_retries=args.max_retries,
-                  checkpoint_path=args.checkpoint,
-                  resume=args.resume,
                   tracer=tracer, progress=progress,
                   log_events=args.log_events is not None,
                   workers=args.workers,
@@ -491,10 +487,6 @@ def cmd_hunt(args) -> int:
         from repro.analysis.reports import render_hunt_markdown
         print("\n" + render_hunt_markdown(result))
     if result.interrupted:
-        if args.checkpoint:
-            print(f"checkpoint written to {args.checkpoint}; "
-                  f"resume with: repro hunt {args.system} "
-                  f"--checkpoint {args.checkpoint} --resume")
         if args.store:
             print(f"run store is durable at {args.store}; "
                   f"resume with: repro hunt {args.system} "
@@ -684,16 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true")
     p.add_argument("--no-lying", action="store_true")
     p.add_argument("--allow-empty", action="store_true")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="persist hunt state to PATH after every pass")
-    p.add_argument("--resume", action="store_true",
-                   help="resume an interrupted hunt from --checkpoint")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="durable run store: journal every completed probe "
                         "(CRC32 + fsync) and checkpoint every pass to DIR; "
                         "re-running with the same DIR resumes a killed "
-                        "hunt mid-pass with a byte-identical result "
-                        "(subsumes --checkpoint/--resume)")
+                        "hunt mid-pass with a byte-identical result")
     p.add_argument("--snapshot-budget", default=None, metavar="BYTES",
                    help="bound snapshot-cache memory (e.g. 64k, 2M, 1G); "
                         "least-recently-used snapshots are evicted and "

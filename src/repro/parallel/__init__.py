@@ -3,13 +3,14 @@
 from repro.parallel.executor import ScenarioExecutor
 from repro.parallel.health import (HealthMonitor, HealthPolicy, WorkerHealth,
                                    WorkerHealthReport)
-from repro.parallel.merge import merge_brute, merge_greedy, merge_weighted
+from repro.parallel.merge import RecordedDriver
 from repro.parallel.recording import (RecordingLedger, RecordingSupervisor,
                                       StepRecorder, StepTrace)
 from repro.parallel.worker import ProbeParams, WorkerProber
 
 __all__ = [
     "ScenarioExecutor",
+    "RecordedDriver",
     "HealthMonitor",
     "HealthPolicy",
     "WorkerHealth",
@@ -20,7 +21,4 @@ __all__ = [
     "RecordingSupervisor",
     "StepRecorder",
     "StepTrace",
-    "merge_brute",
-    "merge_greedy",
-    "merge_weighted",
 ]

@@ -10,9 +10,11 @@ worker's caches across hunt passes.
 
 ``run_pass`` returns a :class:`~repro.search.results.SearchReport` that is
 byte-identical to what the serial algorithm would produce — same findings,
-same ledger, same supervision events — because the merge replays recorded
-traces in serial order (see :mod:`repro.parallel.merge`).  What the workers
-actually spent is reported separately through :meth:`worker_breakdown`.
+same ledger, same supervision events — because it runs the algorithm's own
+planner through the recorded driver, which replays the workers' recorded
+traces in the order the planner asks for them (see
+:mod:`repro.parallel.merge`).  What the workers actually spent is reported
+separately through :meth:`worker_breakdown`.
 
 The pool is **self-healing** (see :mod:`repro.parallel.health`): result
 collection polls with per-task deadlines instead of blocking, a crashed or
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.attacks.actions import AttackScenario
 from repro.attacks.space import ActionSpace, ActionSpaceConfig
 from repro.common.errors import ConfigError, SearchError
 from repro.controller.costs import CostLedger, WorkerAttribution
@@ -49,16 +50,26 @@ from repro.parallel.health import (FAIL_CRASH, FAIL_TIMEOUT, HealthMonitor,
                                    HealthPolicy, WorkerHealthReport,
                                    describe_task, quarantined_return,
                                    task_key, task_units)
-from repro.parallel.merge import merge_brute, merge_greedy, merge_weighted
-from repro.parallel.worker import (ProbeParams, ScenarioProbe, StartupProbe,
-                                   TypeProbe, WorkerProber, WorkerReturn,
+from repro.parallel.merge import RecordedDriver
+from repro.parallel.worker import (ProbeParams, WorkerProber, WorkerReturn,
                                    worker_main)
+from repro.search.base import pass_actions
+from repro.search.brute import BrutePlanner
+from repro.search.greedy import GreedyPlanner
+from repro.search.probes import (BaselineRequest, ContextRequest,
+                                 ScenarioProbe, StartupProbe, StartupRequest,
+                                 TypeProbe)
 from repro.search.results import SearchReport
-from repro.search.weighted import ClusterWeights
+from repro.search.weighted import ClusterWeights, WeightedPlanner
 from repro.telemetry.summary import summarize
 from repro.telemetry.tracer import Tracer, maybe_span
 
 ALGORITHMS = ("weighted", "greedy", "brute")
+
+#: The recorded driver's entry point.  ``perfbench/tracer.py`` times it as
+#: ``parallel.merge`` by patching this module attribute, under the name of
+#: the weighted-only merge it replaced; it runs every algorithm's planner.
+merge_weighted = RecordedDriver.run
 
 
 @dataclass
@@ -125,8 +136,14 @@ class ScenarioExecutor:
         self.algorithm = algorithm
         self.workers = workers
         self.threshold = threshold or AttackThreshold()
-        self.rounds = rounds
-        self.confirmations = confirmations
+        #: the pass's planner; weighted greedy's carries the hunt's cluster
+        #: weights, so it is built per pass
+        self.planner = None
+        if algorithm == "greedy":
+            self.planner = GreedyPlanner(self.threshold, rounds,
+                                         confirmations)
+        elif algorithm == "brute":
+            self.planner = BrutePlanner(self.threshold)
         self.tracer = tracer
         self.policy = health or HealthPolicy()
         #: durable :class:`~repro.store.runstore.RunStore` (duck-typed):
@@ -560,19 +577,17 @@ class ScenarioExecutor:
 
     def _run_branching(self, types: Sequence[str], excluded: frozenset,
                        weights: Optional[ClusterWeights]) -> SearchReport:
-        actions_by_type = {
-            t: [a for a in self._space.actions_for(t)
-                if AttackScenario(t, a).to_record() not in excluded]
-            for t in types}
+        actions_by_type = {t: pass_actions(self._space, t, excluded)
+                           for t in types}
         probes: Dict[str, TypeProbe] = {}
         todo = list(types)
         if self.store is not None:
             # Types the journal fully covers are answered from disk; their
-            # recorded traces replay through the merge exactly as a live
-            # worker's would.  Partially covered types stay in the shards —
-            # an in-process prober resumes mid-walk from its seeds, a
-            # forked worker re-probes (identical traces) and the journal's
-            # dedupe absorbs the overlap.
+            # recorded traces replay through the recorded driver exactly as
+            # a live worker's would.  Partially covered types stay in the
+            # shards — an in-process prober resumes mid-walk from its
+            # seeds, a forked worker re-probes (identical traces) and the
+            # journal's dedupe absorbs the overlap.
             covered = [t for t in todo
                        if self.store.covers(t, actions_by_type[t],
                                             self.threshold,
@@ -598,21 +613,29 @@ class ScenarioExecutor:
         for __, ret in sorted(returns.items()):
             for probe in ret.types:
                 probes[probe.message_type] = probe
-        if self.algorithm == "weighted":
-            return merge_weighted(self.system, types, actions_by_type,
-                                  weights if weights is not None
-                                  else ClusterWeights(),
-                                  self.threshold, startup, probes)
-        return merge_greedy(self.system, types, actions_by_type,
-                            self.threshold, self.rounds, self.confirmations,
-                            startup, probes)
+        evals = {t: {e.record: e for e in probe.evals}
+                 for t, probe in probes.items()}
+
+        def answer(request):
+            if isinstance(request, StartupRequest):
+                return startup
+            probe = probes.get(request.message_type)
+            if probe is None:
+                return None
+            if isinstance(request, ContextRequest):
+                return probe.context
+            return evals[request.message_type].get(
+                request.action.to_record())
+
+        planner = self.planner or WeightedPlanner(
+            self.threshold,
+            weights if weights is not None else ClusterWeights())
+        return self._replay(planner, types, excluded, answer)
 
     def _run_brute(self, types: Sequence[str], excluded: frozenset,
                    max_scenarios: Optional[int]) -> SearchReport:
-        scenarios = [s for t in types for s in self._space.scenarios_for(t)
-                     if s.to_record() not in excluded]
-        if max_scenarios is not None:
-            scenarios = scenarios[:max_scenarios]
+        scenarios = BrutePlanner.scenarios(self._space, types, excluded,
+                                           max_scenarios)
         lead = self._lead_slot()
         shards: Dict[int, List[tuple]] = {lead: []}  # the lead runs baseline
         for scenario in scenarios:
@@ -628,8 +651,21 @@ class ScenarioExecutor:
         for __, ret in sorted(returns.items()):
             for probe in ret.scenarios:
                 probes[probe.record] = probe
-        return merge_brute(self.system, scenarios, self.threshold,
-                           baseline, probes)
+
+        def answer(request):
+            if isinstance(request, BaselineRequest):
+                return baseline
+            return probes.get(request.scenario.to_record())
+
+        return self._replay(self.planner, types, excluded, answer,
+                            max_scenarios=max_scenarios)
+
+    def _replay(self, planner, types: Sequence[str], excluded: frozenset,
+                answer, **kwargs) -> SearchReport:
+        """Run the pass's planner against the recorded probes."""
+        driver = RecordedDriver(planner.algorithm, self.system, self._space)
+        return merge_weighted(driver, planner.steps(driver, types, excluded,
+                                                    **kwargs), answer)
 
     # ------------------------------------------------------------ accounting
 

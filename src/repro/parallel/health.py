@@ -45,8 +45,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.attacks.actions import AttackScenario
 from repro.parallel.recording import StepTrace
-from repro.parallel.worker import (BaselineProbe, ContextProbe, ScenarioProbe,
-                                   TypeProbe, WorkerReturn)
+from repro.parallel.worker import WorkerReturn
+from repro.search.probes import (BaselineProbe, ContextProbe, ScenarioProbe,
+                                 TypeProbe)
 from repro.telemetry.instruments import InstrumentRegistry
 from repro.telemetry.tracer import Tracer
 

@@ -1,23 +1,24 @@
-"""Deterministic merge: replay recorded shard traces in serial order.
+"""The recorded driver: run a planner against recorded probes.
 
-Each merge function mirrors its serial algorithm's ``_run_pass`` control
-flow exactly — same iteration order, same early stops, same quarantine
-handling — but instead of driving the harness it replays the worker-recorded
-:class:`~repro.parallel.recording.StepTrace` of every step it visits.
-Replaying individual charges in the serial order makes the merged ledger
-bitwise identical to a serial run's (float accumulation is order-sensitive),
-which in turn makes every ``found_at`` and ``SupervisorEvent.at`` timestamp
-— both defined as "ledger total when it happened" — land exactly.
+A pass's control flow lives once, in its planner (``search/*.py``, see
+:mod:`repro.search.probes`).  :class:`RecordedDriver` answers the planner's
+requests from probes that parallel workers recorded or the run store
+journaled, and replays each probe's :class:`~repro.parallel.recording.
+StepTrace` — the individual charges, in the order the planner visits them.
+Replaying charges one by one makes the merged ledger bitwise identical to a
+serial run's (float accumulation is order-sensitive), which in turn makes
+every ``found_at`` and ``SupervisorEvent.at`` timestamp — both defined as
+"ledger total when it happened" — land exactly.
 
-Why the walk never needs a step the workers didn't probe:
+Why the planner never requests a step the workers didn't probe:
 
 * context acquisitions and greedy evaluations are probed unconditionally;
 * weighted greedy walks actions in descending cluster weight and stops at
-  the first attack.  Any action it visits is either (a) a non-attack, which
-  its cluster's probe walked past, or (b) the stopping attack itself, which
-  is its cluster's first non-quarantined attack in enumeration order — the
-  exact point where the probe stopped.  Quarantined evaluations stop
-  neither walk, in lockstep.
+  the first attack; the workers probe each cluster's frontier
+  (:func:`repro.search.weighted.probe_frontier`), which holds every action
+  that walk can visit, whatever the weights.
+
+A miss is a coverage hole and raises :class:`SearchError`.
 
 The self-healing layer (:mod:`repro.parallel.health`) reuses this pipeline
 for poison tasks: a shard that kept killing its workers comes back as
@@ -31,22 +32,18 @@ budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.attacks.actions import AttackScenario, MaliciousAction
+from repro.attacks.space import ActionSpace
 from repro.common.errors import SearchError
 from repro.controller.costs import CostLedger
-from repro.controller.monitor import AttackThreshold
 from repro.controller.supervisor import (EVENT_QUARANTINE, EVENT_REBUILD,
                                          EVENT_RETRY, EVENT_WATCHDOG,
-                                         QuarantinedScenario, SupervisorEvent,
-                                         SupervisorStats)
+                                         SupervisorEvent, SupervisorStats)
 from repro.parallel.recording import StepTrace
-from repro.parallel.worker import (BaselineProbe, ScenarioProbe, StartupProbe,
-                                   TypeProbe)
-from repro.search.base import is_attack_sample
-from repro.search.results import AttackFinding, SearchReport
-from repro.search.weighted import ClusterWeights
+from repro.search.probes import (BaselineRequest, Plan, Probe, Request,
+                                 ScenarioRequest, drive)
+from repro.search.results import SearchReport
 
 _COUNTER_FOR_KIND = {
     EVENT_RETRY: "retries",
@@ -86,219 +83,51 @@ def _emit_event(ledger: CostLedger, stats: SupervisorStats,
         setattr(stats, counter, getattr(stats, counter) + 1)
 
 
-def _finish(report: SearchReport, stats: SupervisorStats,
-            crashed_seen: dict) -> SearchReport:
-    report.crashed_nodes = sorted(crashed_seen.values())
-    report.supervisor.merge(stats)
-    return report
+class RecordedDriver:
+    """Answers one pass's planner requests from recorded probes.
 
-
-def _quarantine(report: SearchReport, message_type: str,
-                action: Optional[MaliciousAction],
-                quarantined: tuple) -> None:
-    reason, attempts = quarantined
-    report.quarantined.append(QuarantinedScenario(
-        message_type, None if action is None else action.to_record(),
-        reason=reason, attempts=attempts))
-
-
-def _missing(message_type: str, action: MaliciousAction) -> SearchError:
-    return SearchError(
-        f"parallel probe coverage hole: no recorded evaluation of "
-        f"{action.describe()} {message_type}")
-
-
-def merge_weighted(system: str, message_types: Sequence[str],
-                   actions_by_type: Dict[str, List[MaliciousAction]],
-                   weights: ClusterWeights, threshold: AttackThreshold,
-                   startup: StartupProbe,
-                   probes: Dict[str, TypeProbe]) -> SearchReport:
-    """Replay WeightedGreedySearch._run_pass over the recorded probes."""
-    ledger = CostLedger()
-    report = SearchReport("weighted-greedy", system, ledger=ledger)
-    stats = SupervisorStats()
-    crashed_seen: dict = {}
-    replay_trace(ledger, stats, startup.trace, crashed_seen)
-    if startup.quarantined is not None:
-        _quarantine(report, "*", None, startup.quarantined)
-        return _finish(report, stats, crashed_seen)
-
-    for message_type in message_types:
-        actions = actions_by_type.get(message_type) or []
-        if not actions:
-            continue
-        probe = probes[message_type]
-        replay_trace(ledger, stats, probe.context.trace, crashed_seen)
-        if probe.context.quarantined is not None:
-            _quarantine(report, message_type, None, probe.context.quarantined)
-            continue
-        if not probe.context.found:
-            report.types_without_injection.append(message_type)
-            continue
-        report.injection_points += 1
-
-        evals = {e.record: e for e in probe.evals}
-        ordered = weights.order_actions(actions)
-        worst: Optional[AttackFinding] = None
-        found = False
-        for action in ordered:
-            ev = evals.get(action.to_record())
-            if ev is None:
-                raise _missing(message_type, action)
-            replay_trace(ledger, stats, ev.trace, crashed_seen)
-            if ev.quarantined is not None:
-                _quarantine(report, message_type, action, ev.quarantined)
-                continue
-            report.scenarios_evaluated += 1
-            baseline, sample = ev.baseline, ev.sample
-            damage = threshold.damage(baseline, sample)
-            crashed = sample.crashed_nodes > baseline.crashed_nodes
-            finding = AttackFinding(
-                AttackScenario(message_type, action), baseline, sample,
-                damage=1.0 if crashed else damage,
-                crashes=sample.crashed_nodes,
-                found_at=ledger.total())
-            if is_attack_sample(threshold, baseline, sample):
-                weights.bump(action.cluster)
-                report.findings.append(finding)
-                found = True
-                break
-            if worst is None or finding.damage > worst.damage:
-                worst = finding
-        if not found and worst is not None:
-            worst.found_at = ledger.total()
-            report.weak_selections.append(worst)
-    return _finish(report, stats, crashed_seen)
-
-
-def merge_greedy(system: str, message_types: Sequence[str],
-                 actions_by_type: Dict[str, List[MaliciousAction]],
-                 threshold: AttackThreshold, rounds: int, confirmations: int,
-                 startup: StartupProbe,
-                 probes: Dict[str, TypeProbe]) -> SearchReport:
-    """Replay GreedySearch._run_pass: ``rounds`` identical rounds per type.
-
-    The serial algorithm re-acquires the context and re-evaluates every
-    action each round; the deterministic world makes each round's charges
-    identical, so the single recorded round is replayed ``rounds`` times.
+    ``answer(request)`` returns the recorded probe, or None when nothing
+    recorded that step.  This object is also the scope the planner reads:
+    the caller resolves the pass's message types before it shards them,
+    and takes the system name and action space from an unbooted instance
+    of the testbed, which gives the same values a booted one does.
     """
-    ledger = CostLedger()
-    report = SearchReport("greedy", system, ledger=ledger)
-    stats = SupervisorStats()
-    crashed_seen: dict = {}
-    replay_trace(ledger, stats, startup.trace, crashed_seen)
-    if startup.quarantined is not None:
-        _quarantine(report, "*", None, startup.quarantined)
-        return _finish(report, stats, crashed_seen)
 
-    for message_type in message_types:
-        actions = actions_by_type.get(message_type) or []
-        if not actions:
-            continue
-        probe = probes[message_type]
-        evals = {e.record: e for e in probe.evals}
+    def __init__(self, algorithm: str, system: str,
+                 space: ActionSpace) -> None:
+        self.algorithm = algorithm
+        self.system = system
+        self.space = space
+        self.ledger = CostLedger()
+        self.stats = SupervisorStats()
+        #: crashed nodes the replayed steps saw: name -> summary line
+        self.crashed_seen: dict = {}
 
-        selections: Dict[tuple, int] = {}
-        best_by_action: Dict[tuple, tuple] = {}
-        saw_injection = False
-        type_quarantined = False
+    def new_report(self) -> SearchReport:
+        return SearchReport(self.algorithm, self.system, ledger=self.ledger)
 
-        for __ in range(rounds):
-            replay_trace(ledger, stats, probe.context.trace, crashed_seen)
-            if probe.context.quarantined is not None:
-                _quarantine(report, message_type, None,
-                            probe.context.quarantined)
-                type_quarantined = True
-                break
-            if not probe.context.found:
-                break
-            saw_injection = True
-            report.injection_points += 1
+    def action_space(self) -> ActionSpace:
+        return self.space
 
-            worst_key = None
-            worst_damage = -1.0
-            for action in actions:
-                ev = evals.get(action.to_record())
-                if ev is None:
-                    raise _missing(message_type, action)
-                replay_trace(ledger, stats, ev.trace, crashed_seen)
-                if ev.quarantined is not None:
-                    _quarantine(report, message_type, action, ev.quarantined)
-                    continue
-                report.scenarios_evaluated += 1
-                damage = threshold.damage(ev.baseline, ev.sample)
-                if ev.sample.crashed_nodes > ev.baseline.crashed_nodes:
-                    damage = 1.0
-                if damage > worst_damage:
-                    worst_damage = damage
-                    worst_key = action.to_record()
-                    best_by_action[worst_key] = (action, ev.baseline,
-                                                 ev.sample, damage)
-            if worst_key is not None:
-                selections[worst_key] = selections.get(worst_key, 0) + 1
+    def search_types(self, message_types: Sequence[str]) -> List[str]:
+        return list(message_types)
 
-        if not saw_injection:
-            if not type_quarantined:
-                report.types_without_injection.append(message_type)
-            continue
+    def run(self, steps: Plan,
+            answer: Callable[[Request], Optional[Probe]]) -> SearchReport:
+        report = drive(steps, lambda request: self._replay(request,
+                                                           answer(request)))
+        report.crashed_nodes = sorted(self.crashed_seen.values())
+        report.supervisor.merge(self.stats)
+        return report
 
-        for key, count in sorted(selections.items(), key=lambda kv: -kv[1]):
-            action, baseline, sample, damage = best_by_action[key]
-            crashed = sample.crashed_nodes > baseline.crashed_nodes
-            if count >= confirmations and (
-                    crashed or threshold.is_attack(baseline, sample)):
-                report.findings.append(AttackFinding(
-                    AttackScenario(message_type, action), baseline, sample,
-                    damage=damage, crashes=sample.crashed_nodes,
-                    found_at=ledger.total(), confirmations=count))
-            break  # greedy keeps only the strongest attack per type
-    return _finish(report, stats, crashed_seen)
-
-
-def merge_brute(system: str, scenarios: Sequence[AttackScenario],
-                threshold: AttackThreshold, baseline_probe: BaselineProbe,
-                probes: Dict[tuple, ScenarioProbe]) -> SearchReport:
-    """Replay BruteForceSearch._run_pass over the recorded probes.
-
-    Brute force only inspects crashed nodes at finalize time, from the last
-    world it built, so only the final consumed step's crash lines count.
-    """
-    ledger = CostLedger()
-    report = SearchReport("brute-force", system, ledger=ledger)
-    stats = SupervisorStats()
-    replay_trace(ledger, stats, baseline_probe.trace)
-    last_crash_lines = baseline_probe.trace.crash_lines
-    if baseline_probe.quarantined is not None:
-        _quarantine(report, "*", None, baseline_probe.quarantined)
-        return _finish_brute(report, stats, last_crash_lines)
-    baseline = baseline_probe.sample
-
-    for scenario in scenarios:
-        probe = probes.get(scenario.to_record())
+    def _replay(self, request: Request, probe: Optional[Probe]) -> Probe:
         if probe is None:
-            raise _missing(scenario.message_type, scenario.action)
-        replay_trace(ledger, stats, probe.trace)
-        last_crash_lines = probe.trace.crash_lines
-        if probe.quarantined is not None:
-            _quarantine(report, scenario.message_type, scenario.action,
-                        probe.quarantined)
-            continue
-        report.scenarios_evaluated += 1
-        if probe.injected_at is None:
-            if scenario.message_type not in report.types_without_injection:
-                report.types_without_injection.append(scenario.message_type)
-            continue
-        report.injection_points += 1
-        if threshold.is_attack(baseline, probe.sample):
-            report.findings.append(AttackFinding(
-                scenario, baseline, probe.sample,
-                damage=threshold.damage(baseline, probe.sample),
-                crashes=probe.sample.crashed_nodes,
-                found_at=ledger.total()))
-    return _finish_brute(report, stats, last_crash_lines)
-
-
-def _finish_brute(report: SearchReport, stats: SupervisorStats,
-                  crash_lines: List[str]) -> SearchReport:
-    crashed_seen = {line.split(" ", 1)[0]: line for line in crash_lines}
-    return _finish(report, stats, crashed_seen)
+            raise SearchError(
+                f"parallel probe coverage hole: nothing recorded for "
+                f"{request!r}")
+        if isinstance(request, (BaselineRequest, ScenarioRequest)):
+            # Brute force builds a fresh world per step and reports the
+            # crashed nodes of the last one only.
+            self.crashed_seen = {}
+        replay_trace(self.ledger, self.stats, probe.trace, self.crashed_seen)
+        return probe

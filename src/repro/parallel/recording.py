@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 from repro.controller.costs import CostLedger
 from repro.controller.supervisor import (EVENT_QUARANTINE,
                                          EVENT_WORKER_FAULT,
-                                         ScenarioQuarantined,
                                          ScenarioSupervisor)
 
 #: one supervision event pinned to its charge-log position:
@@ -92,15 +91,14 @@ class StepTrace:
 class StepRecorder:
     """Context manager capturing one supervised step as a :class:`StepTrace`.
 
-    A :class:`ScenarioQuarantined` raised inside the block is swallowed and
-    surfaced as ``(reason, attempts)`` on :attr:`quarantined` — mirroring
-    how every serial search loop catches it and records the quarantine.
+    The step runs through the live driver's
+    :meth:`~repro.search.base.SearchAlgorithm.fulfil`, which already turns
+    a quarantine into the probe's ``quarantined`` field.
     """
 
     def __init__(self, search) -> None:
         self._search = search
         self.trace: Optional[StepTrace] = None
-        self.quarantined: Optional[Tuple[str, int]] = None
 
     def __enter__(self) -> "StepRecorder":
         ledger: RecordingLedger = self._search.ledger
@@ -123,7 +121,4 @@ class StepRecorder:
         if instance is not None:
             crash_lines = list(instance.world.crashed_node_summaries())
         self.trace = StepTrace(charges, events, crash_lines)
-        if isinstance(exc, ScenarioQuarantined):
-            self.quarantined = (str(exc.cause), exc.attempts)
-            return True
         return False

@@ -6,8 +6,11 @@ message type's processing starts from a restore of the warm snapshot, the
 platform operations a worker performs for its shard — and every ledger
 charge they produce — are bitwise identical to what the serial algorithm
 would have done for those types.  The worker therefore returns *recorded
-traces* (see :mod:`repro.parallel.recording`), not report fragments; the
-merge step replays them in serial order.
+probes* (see :mod:`repro.parallel.recording`), not report fragments: each
+step runs through the live driver's
+:meth:`~repro.search.base.SearchAlgorithm.fulfil` under a recorder, and the
+recorded driver (:mod:`repro.parallel.merge`) replays the probes through
+the algorithm's planner in serial order.
 
 Workers are persistent across hunt passes and cache per-``(type, action)``
 evaluations: a later pass that re-walks an already-probed action gets the
@@ -27,16 +30,18 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.attacks.actions import AttackScenario, MaliciousAction
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import SearchError
-from repro.controller.harness import AttackHarness
-from repro.controller.monitor import AttackThreshold, PerfSample
+from repro.controller.monitor import AttackThreshold
 from repro.parallel.recording import (RecordingLedger, RecordingSupervisor,
-                                      StepRecorder, StepTrace)
-from repro.search.base import SearchAlgorithm, TypeContext, is_attack_sample
+                                      StepRecorder)
+from repro.search.base import SearchAlgorithm, TypeContext, pass_actions
 from repro.search.brute import BruteForceSearch
+from repro.search.probes import (BaselineProbe, BaselineRequest,
+                                 ContextRequest, EvalProbe, EvalRequest,
+                                 Probe, Request, ScenarioProbe,
+                                 ScenarioRequest, StartupProbe,
+                                 StartupRequest, TypeProbe)
+from repro.search.weighted import probe_frontier
 from repro.telemetry.tracer import Tracer
-
-#: what a quarantined step collapses to: (reason, attempts)
-Quarantine = Optional[Tuple[str, int]]
 
 
 @dataclass
@@ -63,59 +68,6 @@ class ProbeParams:
         """Weighted greedy stops a cluster at its first attack; greedy
         evaluates everything."""
         return self.algorithm == "weighted"
-
-
-@dataclass
-class StartupProbe:
-    trace: StepTrace
-    quarantined: Quarantine = None
-
-
-@dataclass
-class ContextProbe:
-    """One supervised injection-seek + baseline branch for a type."""
-
-    found: bool
-    trace: StepTrace
-    quarantined: Quarantine = None
-
-
-@dataclass
-class EvalProbe:
-    """One supervised branch-measure of a single action."""
-
-    record: tuple                      # MaliciousAction.to_record()
-    baseline: Optional[PerfSample]
-    sample: Optional[PerfSample]
-    trace: StepTrace
-    quarantined: Quarantine = None
-
-
-@dataclass
-class TypeProbe:
-    message_type: str
-    context: ContextProbe
-    evals: List[EvalProbe] = field(default_factory=list)
-
-
-@dataclass
-class BaselineProbe:
-    """Brute force's one benign execution."""
-
-    sample: Optional[PerfSample]
-    trace: StepTrace
-    quarantined: Quarantine = None
-
-
-@dataclass
-class ScenarioProbe:
-    """One brute-force scenario: fresh execution, run-to-injection, window."""
-
-    record: tuple                      # AttackScenario.to_record()
-    injected_at: Optional[float]
-    sample: Optional[PerfSample]
-    trace: StepTrace
-    quarantined: Quarantine = None
 
 
 @dataclass
@@ -193,11 +145,16 @@ class WorkerProber:
 
     # ------------------------------------------------------- weighted/greedy
 
+    def _record(self, request: Request) -> Probe:
+        """Run one step exactly as the live driver does, recording it."""
+        with StepRecorder(self.search) as step:
+            probe = self.search.fulfil(request)
+        probe.trace = step.trace
+        return probe
+
     def _ensure_started(self) -> StartupProbe:
         if self._startup is None:
-            with StepRecorder(self.search) as step:
-                self.search._start_run()
-            self._startup = StartupProbe(step.trace, step.quarantined)
+            self._startup = self._record(StartupRequest())
             if self.probe_sink is not None:
                 self.probe_sink.journal_startup(self._startup)
         return self._startup
@@ -206,13 +163,13 @@ class WorkerProber:
                     exclude: FrozenSet[tuple]
                     ) -> Tuple[StartupProbe, List[TypeProbe]]:
         """Probe every type in the shard: context + the evals the serial
-        walk could possibly visit (all of them for greedy; up to each
-        cluster's first attack for weighted)."""
+        walk could possibly visit (its frontier, see
+        :func:`~repro.search.weighted.probe_frontier`)."""
         startup = self._ensure_started()
         probes: List[TypeProbe] = []
         if startup.quarantined is not None:
             return startup, probes
-        space = self.search._space()
+        space = self.search.action_space()
         for message_type in message_types:
             probes.append(self._probe_type(space, message_type, exclude))
         return startup, probes
@@ -221,12 +178,9 @@ class WorkerProber:
                     exclude: FrozenSet[tuple]) -> TypeProbe:
         entry = self._types.get(message_type)
         if entry is None:
-            ctx = None
-            with StepRecorder(self.search) as step:
-                ctx = self.search._acquire_context(message_type)
-            context = ContextProbe(found=ctx is not None, trace=step.trace,
-                                   quarantined=step.quarantined)
-            entry = {"context": context, "ctx": ctx, "evals": {}}
+            context = self._record(ContextRequest(message_type))
+            entry = {"context": context, "ctx": self.search._ctx,
+                     "evals": {}}
             self._types[message_type] = entry
             if self.probe_sink is not None:
                 self.probe_sink.journal_context(message_type, context)
@@ -237,30 +191,13 @@ class WorkerProber:
         # or budget-evicted entry has ctx=None but context.found=True, and
         # must still walk (cached evals answer; fresh ones lazily re-acquire).
         if context.quarantined is None and context.found:
-            actions = [a for a in space.actions_for(message_type)
-                       if AttackScenario(message_type, a).to_record()
-                       not in exclude]
-            if self.params.early_stop:
-                # Group by cluster, preserving enumeration order: the
-                # weight-ordered serial walk can never need an action past
-                # its cluster's first (non-quarantined) attack, because it
-                # would have stopped at that attack first.
-                clusters: Dict[str, List[MaliciousAction]] = {}
-                for action in actions:
-                    clusters.setdefault(action.cluster, []).append(action)
-                for group in clusters.values():
-                    for action in group:
-                        probe = self._eval_action(message_type, entry, action)
-                        evals.append(probe)
-                        if (probe.quarantined is None
-                                and is_attack_sample(self.search.threshold,
-                                                     probe.baseline,
-                                                     probe.sample)):
-                            break
-            else:
-                for action in actions:
-                    evals.append(self._eval_action(message_type, entry,
-                                                   action))
+            def probe(action: MaliciousAction) -> EvalProbe:
+                evals.append(self._eval_action(message_type, entry, action))
+                return evals[-1]
+
+            probe_frontier(pass_actions(space, message_type, exclude),
+                           self.search.threshold, probe,
+                           early_stop=self.params.early_stop)
         return TypeProbe(message_type, context, evals)
 
     def _eval_action(self, message_type: str, entry: dict,
@@ -272,17 +209,8 @@ class WorkerProber:
                 self._reacquire_context(message_type, entry)
             elif self.budget is not None:
                 self.budget.touch(message_type)
-            sample = None
-            with StepRecorder(self.search) as step:
-                sample = self.search._measure_action(entry["ctx"], action)
-            # Read the baseline *after* the measurement: a mid-step rebuild
-            # refreshes ctx.baseline, and the serial loop compares against
-            # the refreshed one.
-            baseline = (entry["ctx"].baseline
-                        if step.quarantined is None else None)
-            probe = EvalProbe(record, baseline,
-                              sample if step.quarantined is None else None,
-                              step.trace, step.quarantined)
+            self.search._ctx = entry["ctx"]
+            probe = self._record(EvalRequest(message_type, action))
             entry["evals"][record] = probe
             if self.probe_sink is not None:
                 self.probe_sink.journal_eval(message_type, probe)
@@ -335,30 +263,14 @@ class WorkerProber:
         baseline = None
         if include_baseline:
             if self._baseline is None:
-                sample = None
-                with StepRecorder(self.search) as step:
-                    sample = self.search.supervisor.run(
-                        "baseline", self.search._baseline_attempt)
-                self._baseline = BaselineProbe(
-                    sample if step.quarantined is None else None,
-                    step.trace, step.quarantined)
+                self._baseline = self._record(BaselineRequest())
             baseline = self._baseline
-        max_wait = (self.search.max_wait if self.search.max_wait is not None
-                    else AttackHarness.DEFAULT_MAX_WAIT)
         probes: List[ScenarioProbe] = []
         for record in scenario_records:
             probe = self._scenarios.get(record)
             if probe is None:
-                scenario = AttackScenario.from_record(record)
-                injected_at = sample = None
-                with StepRecorder(self.search) as step:
-                    injected_at, sample = self.search.supervisor.run(
-                        f"scenario:{scenario.message_type}",
-                        lambda scenario=scenario:
-                            self.search._scenario_attempt(scenario, max_wait),
-                        scenario=scenario.describe())
-                probe = ScenarioProbe(record, injected_at, sample,
-                                      step.trace, step.quarantined)
+                probe = self._record(
+                    ScenarioRequest(AttackScenario.from_record(record)))
                 self._scenarios[record] = probe
             probes.append(probe)
         return baseline, probes

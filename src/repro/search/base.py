@@ -1,6 +1,8 @@
-"""Shared machinery for the attack-finding algorithms.
+"""Shared machinery for the attack-finding algorithms: the live driver.
 
-Every algorithm talks to the platform through the supervised helpers here:
+Each algorithm's pass is a planner (see :mod:`repro.search.probes`);
+:meth:`SearchAlgorithm.run` is the live driver that answers its requests.
+Every step talks to the platform through the supervised helpers here:
 :meth:`SearchAlgorithm._start_run`, :meth:`_acquire_context`, and
 :meth:`_measure_action` wrap the harness operations in the
 :class:`~repro.controller.supervisor.ScenarioSupervisor`'s
@@ -17,14 +19,16 @@ from typing import List, Optional, Sequence, Set
 
 from repro.attacks.actions import AttackScenario, MaliciousAction
 from repro.attacks.space import ActionSpace, ActionSpaceConfig
-from repro.common.errors import ProxyError
+from repro.common.errors import ProxyError, SearchError
 from repro.controller.costs import REBUILD, CostLedger
 from repro.controller.harness import (AttackHarness, InjectionPoint,
                                       TestbedFactory)
 from repro.controller.monitor import AttackThreshold, PerfSample
-from repro.controller.supervisor import (FaultPlan, QuarantinedScenario,
-                                         ScenarioQuarantined,
+from repro.controller.supervisor import (FaultPlan, ScenarioQuarantined,
                                          ScenarioSupervisor)
+from repro.search.probes import (ContextProbe, ContextRequest, EvalProbe,
+                                 EvalRequest, Plan, Probe, Request,
+                                 StartupProbe, StartupRequest, drive)
 from repro.search.results import SearchReport
 from repro.telemetry.progress import ProgressLine
 from repro.telemetry.summary import summarize
@@ -39,6 +43,14 @@ def is_attack_sample(threshold: AttackThreshold, baseline: PerfSample,
     place is what lets a worker's early stop mirror the serial walk."""
     return (sample.crashed_nodes > baseline.crashed_nodes
             or threshold.is_attack(baseline, sample))
+
+
+def pass_actions(space: ActionSpace, message_type: str,
+                 exclude: Set[tuple]) -> List[MaliciousAction]:
+    """The type's actions a branching pass evaluates: every action whose
+    scenario an earlier hunt pass has not already found."""
+    return [a for a in space.actions_for(message_type)
+            if AttackScenario(message_type, a).to_record() not in exclude]
 
 
 @dataclass
@@ -57,9 +69,17 @@ class TypeContext:
 
 
 class SearchAlgorithm:
-    """Base class: holds the harness, the action space, and the report."""
+    """Base class: holds the harness and the report, and drives a planner.
+
+    Subclasses set :attr:`planner`; :meth:`run` drives its ``steps`` live.
+    The methods :meth:`new_report`, :meth:`search_types` and
+    :meth:`action_space` are the scope a planner reads from its driver.
+    """
 
     name = "search"
+    #: the algorithm's planner (None: this instance only runs steps, as the
+    #: parallel prober's does)
+    planner = None
 
     def __init__(self, factory: TestbedFactory, seed: int = 0,
                  threshold: Optional[AttackThreshold] = None,
@@ -108,6 +128,9 @@ class SearchAlgorithm:
         self.ledger = ledger if ledger is not None else CostLedger()
         #: crashed nodes observed during this pass: name -> summary line
         self._crashed_seen: dict = {}
+        #: the context the planner's evaluations branch from (the last one
+        #: acquired; later types replace it)
+        self._ctx: Optional[TypeContext] = None
         self.harness = self._fresh_harness()
         self.supervisor = ScenarioSupervisor(self.ledger,
                                              max_retries=max_retries)
@@ -162,7 +185,7 @@ class SearchAlgorithm:
                 f" · snapshots {share:.0%} of platform time")
         progress.update(text)
 
-    def _make_report(self) -> SearchReport:
+    def new_report(self) -> SearchReport:
         instance = self.harness.instance
         system = instance.name if instance is not None else "unknown"
         report = SearchReport(self.name, system, ledger=self.ledger)
@@ -184,18 +207,14 @@ class SearchAlgorithm:
                 since=self._span_mark)
         return report
 
-    def _space(self) -> ActionSpace:
+    def action_space(self) -> ActionSpace:
         return ActionSpace(self.harness.instance.schema, self.space_config)
 
-    def _search_types(self,
-                      message_types: Optional[Sequence[str]]) -> List[str]:
+    def search_types(self,
+                     message_types: Optional[Sequence[str]]) -> List[str]:
         if message_types is not None:
             return list(message_types)
         return self.harness.instance.search_types()
-
-    @staticmethod
-    def _exclude_key(scenario: AttackScenario) -> tuple:
-        return scenario.to_record()
 
     # ------------------------------------------------------ supervised plane
 
@@ -314,24 +333,36 @@ class SearchAlgorithm:
         return sample
 
     @staticmethod
-    def _quarantine_entry(quarantined: ScenarioQuarantined,
-                          message_type: str,
-                          action: Optional[MaliciousAction]
-                          ) -> QuarantinedScenario:
-        return QuarantinedScenario(
-            message_type,
-            None if action is None else action.to_record(),
-            reason=str(quarantined.cause),
-            attempts=quarantined.attempts)
+    def _attempt(step, *args) -> tuple:
+        """Run a supervised step: ``(result, None)``, or ``(None,
+        (reason, attempts))`` when the supervisor quarantined it."""
+        try:
+            return step(*args), None
+        except ScenarioQuarantined as quarantined:
+            return None, (str(quarantined.cause), quarantined.attempts)
 
-    # ------------------------------------------------- legacy direct helpers
-
-    def _injection_for(self, message_type: str) -> Optional[InjectionPoint]:
-        return self._seek_injection(message_type)
-
-    def _evaluate(self, injection: InjectionPoint,
-                  action: Optional[MaliciousAction]) -> PerfSample:
-        return self.harness.branch_measure(injection, action)
+    def fulfil(self, request: Request) -> Probe:
+        """The live driver's answer to one planner request: run the step
+        on this search's harness.  The parallel prober records the same
+        call, so a recorded probe is exactly what this returns live."""
+        if isinstance(request, EvalRequest):
+            ctx = self._ctx
+            sample, quarantined = self._attempt(self._measure_action, ctx,
+                                                request.action)
+            # Read the baseline *after* the measurement: a mid-step rebuild
+            # refreshes ctx.baseline, and damage is computed against the
+            # same world the sample saw.
+            return EvalProbe(request.action.to_record(),
+                             ctx.baseline if quarantined is None else None,
+                             sample, None, quarantined)
+        if isinstance(request, ContextRequest):
+            self._ctx, quarantined = self._attempt(self._acquire_context,
+                                                   request.message_type)
+            return ContextProbe(self._ctx is not None, None, quarantined)
+        if isinstance(request, StartupRequest):
+            __, quarantined = self._attempt(self._start_run)
+            return StartupProbe(None, quarantined)
+        raise SearchError(f"{self.name} cannot fulfil {request!r}")
 
     # ------------------------------------------------------------------ run
 
@@ -359,22 +390,21 @@ class SearchAlgorithm:
     def run(self, message_types: Optional[Sequence[str]] = None,
             exclude: Optional[Set[tuple]] = None,
             **kwargs) -> SearchReport:
-        """Template method: one ``search.pass`` span around the algorithm.
+        """The live driver: one ``search.pass`` span around the planner.
 
-        Subclasses implement :meth:`_run_pass`; the wrapper exists so every
-        algorithm gets the same span (and its summary args) for free.
+        ``kwargs`` go to the planner (brute force takes ``max_scenarios``).
+        While the pass runs, :attr:`report` is its partial report.
         """
         self._begin_run()
-        with self._span("search.pass", algorithm=self.name) as span:
-            report = self._run_pass(message_types=message_types,
-                                    exclude=exclude, **kwargs)
-            span.set(findings=len(report.findings),
-                     scenarios=report.scenarios_evaluated)
-        # Re-summarize now that the pass span itself has closed, so the
-        # report's telemetry includes it.
+        steps: Plan = self.planner.steps(self, message_types,
+                                         exclude or set(), **kwargs)
+        try:
+            with self._span("search.pass", algorithm=self.name) as span:
+                report = drive(steps, self.fulfil)
+                span.set(findings=len(report.findings),
+                         scenarios=report.scenarios_evaluated)
+        finally:
+            self._ctx = None
+        # Summarize after the pass span has closed, so the report's
+        # telemetry includes it.
         return self._finalize_report(report)
-
-    def _run_pass(self, message_types: Optional[Sequence[str]] = None,
-                  exclude: Optional[Set[tuple]] = None,
-                  **kwargs) -> SearchReport:
-        raise NotImplementedError

@@ -11,23 +11,107 @@ boot and warmup.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.attacks.actions import AttackScenario
+from repro.attacks.space import ActionSpace
 from repro.controller.costs import EXECUTION
 from repro.controller.harness import AttackHarness
-from repro.controller.monitor import PerfSample
-from repro.controller.supervisor import ScenarioQuarantined
+from repro.controller.monitor import AttackThreshold, PerfSample
 from repro.search.base import SearchAlgorithm
-from repro.search.results import AttackFinding, SearchReport
+from repro.search.probes import (BaselineProbe, BaselineRequest, Plan, Probe,
+                                 Request, ScenarioProbe, ScenarioRequest,
+                                 quarantine_entry)
+from repro.search.results import AttackFinding
+
+
+class BrutePlanner:
+    """Brute force's pass: one baseline, then every scenario afresh."""
+
+    algorithm = "brute-force"
+
+    def __init__(self, threshold: AttackThreshold) -> None:
+        self.threshold = threshold
+
+    @staticmethod
+    def scenarios(space: ActionSpace, types: Sequence[str],
+                  exclude: Set[tuple],
+                  max_scenarios: Optional[int] = None
+                  ) -> List[AttackScenario]:
+        """The pass's scenario list, in the order it runs them."""
+        scenarios = [s for t in types for s in space.scenarios_for(t)
+                     if s.to_record() not in exclude]
+        return scenarios if max_scenarios is None \
+            else scenarios[:max_scenarios]
+
+    def steps(self, scope, message_types: Optional[Sequence[str]],
+              exclude: Set[tuple],
+              max_scenarios: Optional[int] = None) -> Plan:
+        benign = yield BaselineRequest()
+        report = scope.new_report()
+        if benign.quarantined is not None:
+            report.quarantined.append(
+                quarantine_entry("*", None, benign.quarantined))
+            return report
+        baseline = benign.sample
+        threshold = self.threshold
+        scenarios = self.scenarios(scope.action_space(),
+                                   scope.search_types(message_types),
+                                   exclude, max_scenarios)
+
+        for scenario in scenarios:
+            outcome = yield ScenarioRequest(scenario)
+            if outcome.quarantined is not None:
+                report.quarantined.append(quarantine_entry(
+                    scenario.message_type, scenario.action,
+                    outcome.quarantined))
+                continue
+            report.scenarios_evaluated += 1
+            if outcome.injected_at is None:
+                if scenario.message_type not in report.types_without_injection:
+                    report.types_without_injection.append(
+                        scenario.message_type)
+                continue
+            report.injection_points += 1
+
+            sample = outcome.sample
+            if threshold.is_attack(baseline, sample):
+                report.findings.append(AttackFinding(
+                    scenario, baseline, sample,
+                    damage=threshold.damage(baseline, sample),
+                    crashes=sample.crashed_nodes,
+                    found_at=report.ledger.total()))
+        return report
 
 
 class BruteForceSearch(SearchAlgorithm):
     """Fresh execution per scenario; no snapshots, no branching."""
 
-    name = "brute-force"
+    name = BrutePlanner.algorithm
 
-    # The attempt bodies are plain methods (not closures) so the parallel
-    # prober can drive the exact same platform operations per shard.
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.planner = BrutePlanner(self.threshold)
+
+    def fulfil(self, request: Request) -> Probe:
+        if isinstance(request, BaselineRequest):
+            sample, quarantined = self._attempt(
+                self.supervisor.run, "baseline", self._baseline_attempt)
+            return BaselineProbe(sample, None, quarantined)
+        if isinstance(request, ScenarioRequest):
+            scenario = request.scenario
+            max_wait = (self.max_wait if self.max_wait is not None
+                        else AttackHarness.DEFAULT_MAX_WAIT)
+            outcome, quarantined = self._attempt(
+                lambda: self.supervisor.run(
+                    f"scenario:{scenario.message_type}",
+                    lambda: self._scenario_attempt(scenario, max_wait),
+                    scenario=scenario.describe()))
+            injected_at, sample = outcome or (None, None)
+            self._progress_tick()
+            return ScenarioProbe(scenario.to_record(), injected_at, sample,
+                                 None, quarantined)
+        return super().fulfil(request)
 
     def _baseline_attempt(self) -> PerfSample:
         """One benign execution for the baseline.  Each attempt is already
@@ -73,53 +157,3 @@ class BruteForceSearch(SearchAlgorithm):
         crashed = len(instance.world.crashed_nodes())
         return injected_at, self.harness.monitor.sample(
             injected_at, window_end, crashed_nodes=crashed)
-
-    def _run_pass(self, message_types: Optional[Sequence[str]] = None,
-                  exclude: Optional[Set[tuple]] = None,
-                  max_scenarios: Optional[int] = None) -> SearchReport:
-        exclude = exclude or set()
-
-        try:
-            baseline = self.supervisor.run("baseline", self._baseline_attempt)
-        except ScenarioQuarantined as q:
-            report = self._make_report()
-            report.quarantined.append(self._quarantine_entry(q, "*", None))
-            return self._finalize_report(report)
-        report = self._make_report()
-
-        types = self._search_types(message_types)
-        space = self._space()
-        scenarios = [s for t in types for s in space.scenarios_for(t)
-                     if self._exclude_key(s) not in exclude]
-        if max_scenarios is not None:
-            scenarios = scenarios[:max_scenarios]
-
-        max_wait = (self.max_wait if self.max_wait is not None
-                    else AttackHarness.DEFAULT_MAX_WAIT)
-
-        for scenario in scenarios:
-            try:
-                injected_at, sample = self.supervisor.run(
-                    f"scenario:{scenario.message_type}",
-                    lambda scenario=scenario: self._scenario_attempt(
-                        scenario, max_wait),
-                    scenario=scenario.describe())
-            except ScenarioQuarantined as q:
-                report.quarantined.append(self._quarantine_entry(
-                    q, scenario.message_type, scenario.action))
-                continue
-            report.scenarios_evaluated += 1
-            self._progress_tick()
-            if injected_at is None:
-                if scenario.message_type not in report.types_without_injection:
-                    report.types_without_injection.append(scenario.message_type)
-                continue
-            report.injection_points += 1
-
-            if self.threshold.is_attack(baseline, sample):
-                report.findings.append(AttackFinding(
-                    scenario, baseline, sample,
-                    damage=self.threshold.damage(baseline, sample),
-                    crashes=sample.crashed_nodes,
-                    found_at=self.ledger.total()))
-        return self._finalize_report(report)

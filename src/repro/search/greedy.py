@@ -17,40 +17,40 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Set, Tuple
 
-from repro.controller.supervisor import ScenarioQuarantined
-from repro.search.base import SearchAlgorithm
-from repro.search.results import AttackFinding, SearchReport
+from repro.attacks.actions import AttackScenario
+from repro.controller.monitor import AttackThreshold
+from repro.search.base import SearchAlgorithm, pass_actions
+from repro.search.probes import (ContextRequest, EvalRequest, Plan,
+                                 StartupRequest, quarantine_entry)
+from repro.search.results import AttackFinding
 
 
-class GreedySearch(SearchAlgorithm):
-    """Branch at each injection point; evaluate all actions; pick the worst."""
+class GreedyPlanner:
+    """Greedy's pass: every action, ``rounds`` times; confirm the worst."""
 
-    name = "greedy"
+    algorithm = "greedy"
 
-    def __init__(self, *args, rounds: int = 3, confirmations: int = 2,
-                 **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, threshold: AttackThreshold, rounds: int = 3,
+                 confirmations: int = 2) -> None:
         if confirmations > rounds:
             raise ValueError("confirmations cannot exceed rounds")
+        self.threshold = threshold
         self.rounds = rounds
         self.confirmations = confirmations
 
-    def _run_pass(self, message_types: Optional[Sequence[str]] = None,
-                  exclude: Optional[Set[tuple]] = None) -> SearchReport:
-        exclude = exclude or set()
-        try:
-            self._start_run()
-        except ScenarioQuarantined as q:
-            report = self._make_report()
-            report.quarantined.append(self._quarantine_entry(q, "*", None))
-            return self._finalize_report(report)
-        report = self._make_report()
-        space = self._space()
+    def steps(self, scope, message_types: Optional[Sequence[str]],
+              exclude: Set[tuple]) -> Plan:
+        startup = yield StartupRequest()
+        report = scope.new_report()
+        if startup.quarantined is not None:
+            report.quarantined.append(
+                quarantine_entry("*", None, startup.quarantined))
+            return report
+        space = scope.action_space()
+        threshold = self.threshold
 
-        for message_type in self._search_types(message_types):
-            actions = [a for a in space.actions_for(message_type)
-                       if self._exclude_key(
-                           _scenario(message_type, a)) not in exclude]
+        for message_type in scope.search_types(message_types):
+            actions = pass_actions(space, message_type, exclude)
             if not actions:
                 continue
 
@@ -60,14 +60,13 @@ class GreedySearch(SearchAlgorithm):
             type_quarantined = False
 
             for __ in range(self.rounds):
-                try:
-                    ctx = self._acquire_context(message_type)
-                except ScenarioQuarantined as q:
-                    report.quarantined.append(
-                        self._quarantine_entry(q, message_type, None))
+                context = yield ContextRequest(message_type)
+                if context.quarantined is not None:
+                    report.quarantined.append(quarantine_entry(
+                        message_type, None, context.quarantined))
                     type_quarantined = True
                     break
-                if ctx is None:
+                if not context.found:
                     break
                 saw_injection = True
                 report.injection_points += 1
@@ -75,15 +74,14 @@ class GreedySearch(SearchAlgorithm):
                 worst_key = None
                 worst_damage = -1.0
                 for action in actions:
-                    try:
-                        sample = self._measure_action(ctx, action)
-                    except ScenarioQuarantined as q:
-                        report.quarantined.append(
-                            self._quarantine_entry(q, message_type, action))
+                    outcome = yield EvalRequest(message_type, action)
+                    if outcome.quarantined is not None:
+                        report.quarantined.append(quarantine_entry(
+                            message_type, action, outcome.quarantined))
                         continue
-                    baseline = ctx.baseline
+                    baseline, sample = outcome.baseline, outcome.sample
                     report.scenarios_evaluated += 1
-                    damage = self.threshold.damage(baseline, sample)
+                    damage = threshold.damage(baseline, sample)
                     if sample.crashed_nodes > baseline.crashed_nodes:
                         damage = 1.0
                     if damage > worst_damage:
@@ -105,16 +103,22 @@ class GreedySearch(SearchAlgorithm):
                 action, baseline, sample, damage = best_by_action[key]
                 crashed = sample.crashed_nodes > baseline.crashed_nodes
                 if count >= self.confirmations and (
-                        crashed or self.threshold.is_attack(baseline, sample)):
+                        crashed or threshold.is_attack(baseline, sample)):
                     report.findings.append(AttackFinding(
-                        _scenario(message_type, action), baseline, sample,
-                        damage=damage, crashes=sample.crashed_nodes,
-                        found_at=self.ledger.total(),
+                        AttackScenario(message_type, action), baseline,
+                        sample, damage=damage, crashes=sample.crashed_nodes,
+                        found_at=report.ledger.total(),
                         confirmations=count))
                 break  # greedy keeps only the strongest attack per type
-        return self._finalize_report(report)
+        return report
 
 
-def _scenario(message_type: str, action):
-    from repro.attacks.actions import AttackScenario
-    return AttackScenario(message_type, action)
+class GreedySearch(SearchAlgorithm):
+    """Branch at each injection point; evaluate all actions; pick the worst."""
+
+    name = GreedyPlanner.algorithm
+
+    def __init__(self, *args, rounds: int = 3, confirmations: int = 2,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.planner = GreedyPlanner(self.threshold, rounds, confirmations)

@@ -12,20 +12,18 @@ Long campaigns are supervised and resumable:
   supervision (see :mod:`repro.controller.supervisor`), optionally with a
   deterministic :class:`~repro.controller.supervisor.FaultPlan` injected and
   a kernel watchdog armed;
-* with ``checkpoint_path`` set, the excluded scenarios, cluster weights,
-  ledger, and completed passes are persisted to JSON after every pass, and
-  ``hunt(..., resume=True)`` (or ``python -m repro hunt --resume``) picks an
-  interrupted campaign back up, reproducing exactly what an uninterrupted
-  hunt would have found;
+* with ``store_dir`` set, every completed probe is journaled and the
+  excluded scenarios, cluster weights, ledger, and completed passes are
+  checkpointed after every pass (see :mod:`repro.store.runstore`); a new
+  hunt pointed at the same directory picks an interrupted campaign back up,
+  reproducing exactly what an uninterrupted hunt would have found;
 * a ``KeyboardInterrupt`` mid-pass returns the partial result (with
-  ``interrupted=True``) after writing a final checkpoint instead of
-  propagating a bare traceback.
+  ``interrupted=True``) after writing a final checkpoint to the store
+  instead of propagating a bare traceback.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
@@ -49,8 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.health import HealthPolicy, WorkerHealthReport
     from repro.store.budget import StoreReport
 
-#: v2 adds ``written_at_pass`` (how many passes the writer had completed);
-#: v1 checkpoints migrate forward transparently
+#: version of the run store's pass-level checkpoint; v2 adds
+#: ``written_at_pass`` (how many passes the writer had completed) and v1
+#: checkpoints migrate forward transparently
 CHECKPOINT_VERSION = 2
 
 
@@ -67,7 +66,9 @@ class HuntResult:
     supervisor: SupervisorStats = field(default_factory=SupervisorStats)
     #: True when a KeyboardInterrupt cut the campaign short
     interrupted: bool = False
-    #: number of passes restored from a checkpoint rather than executed
+    #: passes restored rather than executed; a store-resumed hunt reports
+    #: restoration through ``store_report`` and keeps this 0, so its bytes
+    #: match the uninterrupted hunt's
     resumed_passes: int = 0
     #: merged telemetry across all executed passes (None: telemetry off)
     telemetry: Optional[TelemetrySummary] = None
@@ -112,9 +113,6 @@ class HuntResult:
         lines = [f"hunt: {len(self.findings)} attacks over "
                  f"{len(self.passes)} passes, "
                  f"platform time {self.total_time:.1f}s{status}"]
-        if self.resumed_passes:
-            lines.append(f"  resumed from checkpoint "
-                         f"({self.resumed_passes} passes restored)")
         for i, report in enumerate(self.passes, start=1):
             names = ", ".join(report.attack_names()) or "(nothing new)"
             lines.append(f"  pass {i}: {names}")
@@ -158,21 +156,6 @@ def _checkpoint_dict(system: str, seed: int, excluded: Set[tuple],
     }
 
 
-def save_checkpoint(path: str, system: str, seed: int, excluded: Set[tuple],
-                    weights: ClusterWeights, result: HuntResult) -> None:
-    """Durably persist the hunt state.
-
-    Temp file + fsync + rename + parent-directory fsync (see
-    :func:`repro.store.journal.atomic_write_json`): a crash at any instant
-    leaves either the complete previous checkpoint or the complete new one
-    — never the empty/torn file a plain write-then-rename can leave when
-    the rename is durable before the data is.
-    """
-    from repro.store.journal import atomic_write_json
-    data = _checkpoint_dict(system, seed, excluded, weights, result)
-    atomic_write_json(path, data)
-
-
 def migrate_checkpoint(data: Dict, origin: str = "checkpoint") -> Dict:
     """Bring an older checkpoint forward to the current schema."""
     version = data.get("version")
@@ -187,25 +170,12 @@ def migrate_checkpoint(data: Dict, origin: str = "checkpoint") -> Dict:
     return data
 
 
-def load_checkpoint(path: str) -> Dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(
-            f"checkpoint {path} is truncated or corrupt ({exc}); "
-            f"delete it or restart the hunt without --resume") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"checkpoint {path} is not a JSON object")
-    return migrate_checkpoint(data, origin=f"checkpoint {path}")
-
-
 def _restore_from_checkpoint(data: Dict, seed: int,
                              excluded: Set[tuple],
                              weights: ClusterWeights,
-                             result: HuntResult) -> None:
+                             result: HuntResult) -> int:
+    """Load a store checkpoint into the hunt state; returns how many
+    completed passes it restored."""
     from repro.analysis.reports import record_from_jsonable, report_from_dict
     if data["seed"] != seed:
         raise ConfigError(
@@ -224,7 +194,7 @@ def _restore_from_checkpoint(data: Dict, seed: int,
             if result.telemetry is None:
                 result.telemetry = TelemetrySummary()
             result.telemetry.merge(report.telemetry)
-    result.resumed_passes = len(result.passes)
+    return len(result.passes)
 
 
 # --------------------------------------------------------------------- hunt
@@ -242,8 +212,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
          fault_schedule: Optional[FaultSchedule] = None,
          watchdog_limit: Optional[int] = None,
          max_retries: int = 2,
-         checkpoint_path: Optional[str] = None,
-         resume: bool = False,
          tracer: Optional[Tracer] = None,
          progress: Optional[ProgressLine] = None,
          log_events: bool = False,
@@ -256,9 +224,7 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     """Run weighted-greedy passes until a pass finds nothing new.
 
     The cluster weights persist across passes, so what pass 1 learned about
-    effective action categories speeds up pass 2.  With ``checkpoint_path``
-    the hunt state is persisted after every pass; ``resume=True`` restores
-    it (when the file exists) and continues from the next pass.
+    effective action categories speeds up pass 2.
 
     Observability: ``tracer`` wraps each pass in a ``hunt.pass`` span and
     merges per-pass telemetry summaries into ``result.telemetry``;
@@ -268,8 +234,9 @@ def hunt(factory: TestbedFactory, seed: int = 0,
 
     ``workers > 1`` shards each pass's message types across a persistent
     pool (see :class:`~repro.parallel.executor.ScenarioExecutor`); the
-    result — reports, ledger, checkpoints — is byte-identical to a serial
-    hunt's, with the real per-worker spend in ``result.worker_breakdown``.
+    result — reports, ledger, store checkpoints — is byte-identical to a
+    serial hunt's, with the real per-worker spend in
+    ``result.worker_breakdown``.
     ``injection_cache`` keeps one testbed (and its injection-point
     snapshots) alive across passes, so pass 2+ skips boot, warmup, and
     every injection seek.  The two are mutually exclusive: the cache
@@ -282,7 +249,8 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     tasks deterministically, so the byte-identity contract holds even when
     workers die mid-pass.  A pass that still aborts (``SearchError``, e.g.
     a pool collapse under ``degrade=False``) checkpoints the completed
-    passes first, so ``--resume`` salvages them.
+    passes to the store first, so rerunning with the same ``store_dir``
+    salvages them.
 
     ``explain=True`` computes a forensic
     :class:`~repro.forensics.explain.AttackExplanation` for every finding
@@ -299,10 +267,9 @@ def hunt(factory: TestbedFactory, seed: int = 0,
     directory: journaled probes replay from disk (skipping completed
     scenarios *mid-pass*), everything else re-simulates, and the final
     result is byte-identical to the uninterrupted run's, serial or
-    parallel.  The store subsumes ``checkpoint_path``/``resume`` and is
-    mutually exclusive with them; resume activity is reported through
-    ``result.store_report`` (a side channel) rather than
-    ``resumed_passes``, which the byte-identity contract pins to 0.
+    parallel.  Resume activity is reported through ``result.store_report``
+    (a side channel) rather than ``resumed_passes``, which the
+    byte-identity contract pins to 0.
 
     ``snapshot_budget`` bounds snapshot-cache memory (bytes): with
     ``injection_cache`` it caps the harness's injection-point snapshots,
@@ -322,10 +289,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             "--store and injection_cache are mutually exclusive: cached "
             "passes charge less than the serial ledger the store's replay "
             "reproduces")
-    if store_dir is not None and (checkpoint_path is not None or resume):
-        raise ConfigError(
-            "--store subsumes --checkpoint/--resume: the store directory "
-            "already checkpoints every pass and resumes automatically")
     if snapshot_budget is not None and not (
             injection_cache or store_dir is not None or workers > 1):
         raise ConfigError(
@@ -365,22 +328,9 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             shared_pages=shared_pages, delta_snapshots=delta_snapshots,
             watchdog_limit=watchdog_limit)
 
-    if resume:
-        if checkpoint_path is None:
-            raise ConfigError("resume requires a checkpoint path")
-        if os.path.exists(checkpoint_path):
-            data = load_checkpoint(checkpoint_path)
-            _restore_from_checkpoint(data, seed, excluded, weights, result)
-            system = data["system"]
-            if data.get("complete"):
-                # Campaign already converged; nothing to redo (but the
-                # restored findings can still be explained on request).
-                attach_explanations()
-                return result
-
     store = None
     budget = None
-    start_pass = result.resumed_passes
+    start_pass = 0
     if snapshot_budget is not None and injection_cache:
         from repro.store.budget import SnapshotBudget
         budget = SnapshotBudget(snapshot_budget)
@@ -391,15 +341,13 @@ def hunt(factory: TestbedFactory, seed: int = 0,
         data = store.load_checkpoint()
         if data is not None:
             data = migrate_checkpoint(data, origin=f"store {store_dir}")
-            _restore_from_checkpoint(data, seed, excluded, weights, result)
+            start_pass = _restore_from_checkpoint(data, seed, excluded,
+                                                  weights, result)
             system = data["system"]
-            # ``resumed_passes`` is serialized into the result; the byte-
-            # identity contract pins it to 0 and reports restoration
-            # through the store_report side channel instead.
-            start_pass = result.resumed_passes
-            result.resumed_passes = 0
             store.note_passes_restored(start_pass)
             if data.get("complete"):
+                # Campaign already converged; nothing to redo (but the
+                # restored findings can still be explained on request).
                 attach_explanations()
                 report = StoreReport()
                 report.merge_counters(store.counters())
@@ -471,9 +419,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             except KeyboardInterrupt:
                 result.interrupted = True
                 collect_world_output()
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, system, seed, excluded,
-                                    weights, result)
                 if store is not None:
                     store.save_checkpoint(_checkpoint_dict(
                         system, seed, excluded, weights, result))
@@ -481,12 +426,10 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             except SearchError:
                 # A pass aborted mid-recovery (worker fault under
                 # --no-degrade, nondeterministic replay, ...).  Salvage
-                # what completed: checkpoint the finished passes so
-                # --resume continues the campaign instead of redoing it.
+                # what completed: checkpoint the finished passes so a rerun
+                # on the same store continues the campaign instead of
+                # redoing it.
                 collect_world_output()
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, system, seed, excluded,
-                                    weights, result)
                 if store is not None:
                     store.save_checkpoint(_checkpoint_dict(
                         system, seed, excluded, weights, result))
@@ -504,9 +447,6 @@ def hunt(factory: TestbedFactory, seed: int = 0,
             for finding in report.findings:
                 excluded.add(finding.scenario.to_record())
                 result.findings.append(finding)
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, system, seed, excluded,
-                                weights, result)
             if store is not None:
                 store.save_checkpoint(_checkpoint_dict(
                     system, seed, excluded, weights, result))

@@ -18,16 +18,18 @@ back to greedy behaviour and evaluate everything, keeping the worst.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.attacks.actions import (CLUSTER_DELAY, CLUSTER_DIVERT,
                                    CLUSTER_DROP, CLUSTER_DUPLICATE,
                                    CLUSTER_LIE_BOUNDARY, CLUSTER_LIE_RANDOM,
                                    CLUSTER_LIE_RELATIVE, AttackScenario,
                                    MaliciousAction)
-from repro.controller.supervisor import ScenarioQuarantined
-from repro.search.base import SearchAlgorithm, is_attack_sample
-from repro.search.results import AttackFinding, SearchReport
+from repro.controller.monitor import AttackThreshold
+from repro.search.base import SearchAlgorithm, is_attack_sample, pass_actions
+from repro.search.probes import (ContextRequest, EvalProbe, EvalRequest,
+                                 Plan, StartupRequest, quarantine_entry)
+from repro.search.results import AttackFinding
 
 #: Preloaded cluster weights.  "The weight of each cluster can be preloaded"
 #: — these reflect the prior the paper's authors accumulated: delivery
@@ -69,69 +71,93 @@ class ClusterWeights:
         return [action for __, action in indexed]
 
 
-class WeightedGreedySearch(SearchAlgorithm):
-    """Cluster-weighted ordering with early stop on the first attack found."""
+def probe_frontier(actions: Sequence[MaliciousAction],
+                   threshold: AttackThreshold,
+                   probe: Callable[[MaliciousAction], Optional[EvalProbe]],
+                   early_stop: bool = True) -> bool:
+    """Probe every action a pass over ``actions`` can visit, whatever the
+    cluster weights; False as soon as ``probe`` has no answer (None).
 
-    name = "weighted-greedy"
+    With ``early_stop`` (weighted greedy) that is each cluster in
+    enumeration order up to its first non-quarantined attack: the
+    weight-ordered walk can never need an action past that attack, because
+    it would have stopped there first, and quarantined evaluations stop
+    neither walk.  Without it (greedy) it is every action.  The parallel
+    prober probes this frontier; the run store checks its journal covers it.
+    """
+    # one walk per cluster with early stop, one walk over everything without
+    walks: Dict[str, List[MaliciousAction]] = {}
+    for action in actions:
+        walks.setdefault(action.cluster if early_stop else "*",
+                         []).append(action)
+    for walk in walks.values():
+        for action in walk:
+            outcome = probe(action)
+            if outcome is None:
+                return False
+            if (early_stop and outcome.quarantined is None
+                    and is_attack_sample(threshold, outcome.baseline,
+                                         outcome.sample)):
+                break
+    return True
 
-    def __init__(self, *args, weights: Optional[ClusterWeights] = None,
-                 **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.weights = weights or ClusterWeights()
 
-    def _run_pass(self, message_types: Optional[Sequence[str]] = None,
-                  exclude: Optional[Set[tuple]] = None) -> SearchReport:
-        exclude = exclude or set()
-        try:
-            self._start_run()
-        except ScenarioQuarantined as q:
+class WeightedPlanner:
+    """Weighted greedy's pass: cluster-weighted order, early stop."""
+
+    algorithm = "weighted-greedy"
+
+    def __init__(self, threshold: AttackThreshold,
+                 weights: ClusterWeights) -> None:
+        self.threshold = threshold
+        #: mutated as the pass learns (one bump per finding, in order)
+        self.weights = weights
+
+    def steps(self, scope, message_types: Optional[Sequence[str]],
+              exclude: Set[tuple]) -> Plan:
+        startup = yield StartupRequest()
+        report = scope.new_report()
+        if startup.quarantined is not None:
             # The platform could not even produce a warm testbed; report an
             # empty (but intact) pass rather than killing the hunt.
-            report = self._make_report()
-            report.quarantined.append(self._quarantine_entry(q, "*", None))
-            return self._finalize_report(report)
-        report = self._make_report()
-        space = self._space()
+            report.quarantined.append(
+                quarantine_entry("*", None, startup.quarantined))
+            return report
+        space = scope.action_space()
+        threshold = self.threshold
 
-        for message_type in self._search_types(message_types):
-            actions = [a for a in space.actions_for(message_type)
-                       if self._exclude_key(AttackScenario(message_type, a))
-                       not in exclude]
+        for message_type in scope.search_types(message_types):
+            actions = pass_actions(space, message_type, exclude)
             if not actions:
                 continue
-            try:
-                ctx = self._acquire_context(message_type)
-            except ScenarioQuarantined as q:
-                report.quarantined.append(
-                    self._quarantine_entry(q, message_type, None))
+            context = yield ContextRequest(message_type)
+            if context.quarantined is not None:
+                report.quarantined.append(quarantine_entry(
+                    message_type, None, context.quarantined))
                 continue
-            if ctx is None:
+            if not context.found:
                 report.types_without_injection.append(message_type)
                 continue
             report.injection_points += 1
 
-            ordered = self.weights.order_actions(actions)
             worst: Optional[AttackFinding] = None
             found = False
-            for action in ordered:
-                try:
-                    sample = self._measure_action(ctx, action)
-                except ScenarioQuarantined as q:
-                    report.quarantined.append(
-                        self._quarantine_entry(q, message_type, action))
+            for action in self.weights.order_actions(actions):
+                outcome = yield EvalRequest(message_type, action)
+                if outcome.quarantined is not None:
+                    report.quarantined.append(quarantine_entry(
+                        message_type, action, outcome.quarantined))
                     continue
                 report.scenarios_evaluated += 1
-                # ctx.baseline tracks any mid-type rebuild, so damage is
-                # always computed against the same world the sample saw.
-                baseline = ctx.baseline
-                damage = self.threshold.damage(baseline, sample)
+                baseline, sample = outcome.baseline, outcome.sample
+                damage = threshold.damage(baseline, sample)
                 crashed = sample.crashed_nodes > baseline.crashed_nodes
                 finding = AttackFinding(
                     AttackScenario(message_type, action), baseline, sample,
                     damage=1.0 if crashed else damage,
                     crashes=sample.crashed_nodes,
-                    found_at=self.ledger.total())
-                if is_attack_sample(self.threshold, baseline, sample):
+                    found_at=report.ledger.total())
+                if is_attack_sample(threshold, baseline, sample):
                     # Stop immediately: this action is an attack.  Learn.
                     self.weights.bump(action.cluster)
                     report.findings.append(finding)
@@ -143,6 +169,18 @@ class WeightedGreedySearch(SearchAlgorithm):
                 # No action cleared Δ: all actions were evaluated and the
                 # worst is chosen (greedy fallback), but it is recorded as a
                 # weak selection, not a confirmed attack.
-                worst.found_at = self.ledger.total()
+                worst.found_at = report.ledger.total()
                 report.weak_selections.append(worst)
-        return self._finalize_report(report)
+        return report
+
+
+class WeightedGreedySearch(SearchAlgorithm):
+    """Cluster-weighted ordering with early stop on the first attack found."""
+
+    name = WeightedPlanner.algorithm
+
+    def __init__(self, *args, weights: Optional[ClusterWeights] = None,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.weights = weights or ClusterWeights()
+        self.planner = WeightedPlanner(self.threshold, self.weights)

@@ -17,8 +17,8 @@ Two durable artifacts live in the store directory:
 
 Resume produces a report **byte-identical** to the uninterrupted run: the
 journal stores the recorded :class:`~repro.parallel.recording.StepTrace` of
-every probe, and the merge layer replays traces in serial order whether
-they came from a live worker or from disk.  Anything *not* in the journal
+every probe, and the recorded driver (:mod:`repro.parallel.merge`) replays
+traces in serial order whether they came from a live worker or from disk.  Anything *not* in the journal
 is re-simulated — deterministic worlds reproduce the identical traces.
 """
 
@@ -27,16 +27,16 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.reports import (_sample_from_dict, _sample_to_dict,
                                     record_from_jsonable, record_to_jsonable)
 from repro.common.errors import ConfigError
 from repro.controller.monitor import AttackThreshold
 from repro.parallel.recording import StepTrace
-from repro.parallel.worker import (ContextProbe, EvalProbe, StartupProbe,
-                                   TypeProbe)
-from repro.search.base import is_attack_sample
+from repro.search.probes import (ContextProbe, EvalProbe, StartupProbe,
+                                 TypeProbe)
+from repro.search.weighted import probe_frontier
 from repro.store.journal import Journal, _canonical, atomic_write_json
 from repro.telemetry.instruments import InstrumentRegistry
 
@@ -305,14 +305,11 @@ class RunStore:
                 "context": entry["context"], "ctx": None,
                 "evals": dict(entry["evals"])}
 
-    def covers(self, message_type: str, actions: Iterable,
+    def covers(self, message_type: str, actions: Sequence,
                threshold: AttackThreshold, early_stop: bool = True) -> bool:
-        """Whether the journal alone can answer this type's serial walk.
-
-        Mirrors the prober's per-cluster enumeration walk — which is
-        weights-independent: the weight-ordered serial walk can never need
-        an action past its cluster's first non-quarantined attack.
-        """
+        """Whether the journal alone can answer this type's pass: its
+        context, and every evaluation on the prober's frontier (see
+        :func:`~repro.search.weighted.probe_frontier`)."""
         entry = self.seeded.get(message_type)
         if entry is None or entry["context"] is None:
             return False
@@ -320,20 +317,9 @@ class RunStore:
         if context.quarantined is not None or not context.found:
             return True
         evals = entry["evals"]
-        if not early_stop:
-            return all(a.to_record() in evals for a in actions)
-        clusters: Dict[str, list] = {}
-        for action in actions:
-            clusters.setdefault(action.cluster, []).append(action)
-        for group in clusters.values():
-            for action in group:
-                ev = evals.get(action.to_record())
-                if ev is None:
-                    return False
-                if ev.quarantined is None and is_attack_sample(
-                        threshold, ev.baseline, ev.sample):
-                    break
-        return True
+        return probe_frontier(actions, threshold,
+                              lambda action: evals.get(action.to_record()),
+                              early_stop=early_stop)
 
     def type_probe(self, message_type: str) -> TypeProbe:
         """Assemble the journaled TypeProbe for a fully covered type."""

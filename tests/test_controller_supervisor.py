@@ -1,11 +1,10 @@
 """Tests for the supervision layer: fault plans, classify-retry-quarantine,
-the kernel watchdog, and hunt checkpoint/resume.
+the kernel watchdog, and pass-level hunt resume.
 
-The acceptance bar (ISSUE): a PBFT hunt running under a fault plan that
-fails >= 10% of snapshot restores, with the watchdog armed, must find the
-same attacks as a fault-free hunt; and a hunt interrupted mid-campaign and
-resumed from its checkpoint must produce identical findings and a merged
-ledger.
+The acceptance bar: a PBFT hunt running under a fault plan that fails
+>= 10% of snapshot restores, with the watchdog armed, must find the same
+attacks as a fault-free hunt; and a hunt interrupted mid-campaign and
+resumed from its run store must produce the uninterrupted hunt's bytes.
 """
 
 import json
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.reports import hunt_result_to_dict
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import (ConfigError, ProxyError, SimulationError,
                                  SnapshotError, WatchdogTimeout)
@@ -24,8 +24,10 @@ from repro.controller.supervisor import (FAULT_OPS, OP_PROXY,
                                          OP_SNAPSHOT_SAVE, FaultPlan,
                                          ScenarioQuarantined,
                                          ScenarioSupervisor, SupervisorStats)
-from repro.search.hunt import hunt, load_checkpoint
+from repro.parallel.executor import ScenarioExecutor
+from repro.search.hunt import hunt
 from repro.search.weighted import WeightedGreedySearch
+from repro.store.runstore import RunStore
 from repro.systems.pbft.testbed import pbft_testbed
 
 TINY_SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(0.5,),
@@ -371,82 +373,94 @@ class TestSupervisedHunt:
 
 
 class TestCheckpointResume:
+    """Pass-level resume through the run store (``store_dir``)."""
+
     def test_resume_reproduces_uninterrupted_hunt(self, tmp_path):
-        ck_full = str(tmp_path / "full.json")
-        ck_resume = str(tmp_path / "resumed.json")
         kwargs = dict(seed=1, message_types=["PrePrepare"],
                       space_config=TINY_SPACE, max_wait=5.0)
+        full_store = str(tmp_path / "full")
+        store = str(tmp_path / "resumed")
 
-        full = hunt(FACTORY, max_passes=2, checkpoint_path=ck_full, **kwargs)
+        full = hunt(FACTORY, max_passes=2, store_dir=full_store, **kwargs)
 
         # Simulate an interruption after pass 1, then resume the campaign.
-        hunt(FACTORY, max_passes=1, checkpoint_path=ck_resume, **kwargs)
-        resumed = hunt(FACTORY, max_passes=2, checkpoint_path=ck_resume,
-                       resume=True, **kwargs)
+        hunt(FACTORY, max_passes=1, store_dir=store, **kwargs)
+        resumed = hunt(FACTORY, max_passes=2, store_dir=store, **kwargs)
 
-        assert resumed.attack_names() == full.attack_names()
-        assert resumed.resumed_passes == 1
-        assert len(resumed.passes) == len(full.passes)
-        assert dict(resumed.total_ledger.by_category) == \
-            dict(full.total_ledger.by_category)
-        # byte-for-byte: the resumed campaign's checkpoint is identical to
-        # the uninterrupted one's.
-        with open(ck_full, "rb") as a, open(ck_resume, "rb") as b:
-            assert a.read() == b.read()
+        assert len(full.passes) == 2
+        assert hunt_json(resumed) == hunt_json(full)
+        assert resumed.store_report.counters[
+            "store.resume.passes_restored"] == 1
+        # the resumed campaign's checkpoint is identical to the
+        # uninterrupted one's
+        assert _store_checkpoint(store) == _store_checkpoint(full_store)
 
     def test_complete_checkpoint_short_circuits(self, tmp_path):
-        ck = str(tmp_path / "ck.json")
+        store = str(tmp_path / "store")
         space = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(),
                                   duplicate_counts=(), include_divert=False,
                                   include_lying=False)
         first = hunt(FACTORY, seed=1, message_types=["PrePrepare"],
                      space_config=space, max_passes=3, max_wait=5.0,
-                     checkpoint_path=ck)
+                     store_dir=store)
         assert not first.passes[-1].findings  # converged
         again = hunt(FACTORY, seed=1, message_types=["PrePrepare"],
                      space_config=space, max_passes=3, max_wait=5.0,
-                     checkpoint_path=ck, resume=True)
-        assert again.resumed_passes == len(again.passes)
-        assert again.attack_names() == first.attack_names()
-        # no new pass was executed: restored platform time is unchanged
-        assert again.total_time == pytest.approx(first.total_time)
+                     store_dir=store)
+        assert hunt_json(again) == hunt_json(first)
+        counters = again.store_report.counters
+        assert counters["store.resume.passes_restored"] == len(again.passes)
+        # no new pass was executed: nothing new was journaled
+        assert counters.get("store.journal.records_appended", 0) == 0
 
     def test_seed_mismatch_rejected(self, tmp_path):
-        ck = str(tmp_path / "ck.json")
+        store = str(tmp_path / "store")
         hunt(FACTORY, seed=1, message_types=["PrePrepare"],
              space_config=TINY_SPACE, max_passes=1, max_wait=5.0,
-             checkpoint_path=ck)
+             store_dir=store)
         with pytest.raises(ConfigError):
             hunt(FACTORY, seed=2, message_types=["PrePrepare"],
                  space_config=TINY_SPACE, max_passes=1, max_wait=5.0,
-                 checkpoint_path=ck, resume=True)
+                 store_dir=store)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        ck = tmp_path / "ck.json"
-        ck.write_text(json.dumps({"version": 99}))
-        with pytest.raises(ConfigError):
-            load_checkpoint(str(ck))
-
-    def test_resume_without_checkpoint_path_rejected(self):
-        with pytest.raises(ConfigError):
-            hunt(FACTORY, seed=1, resume=True)
+        store = RunStore(str(tmp_path), seed=1)
+        store.save_checkpoint({"version": 99})
+        store.close()
+        with pytest.raises(ConfigError, match="version 99"):
+            hunt(FACTORY, seed=1, message_types=["PrePrepare"],
+                 space_config=TINY_SPACE, max_passes=1, max_wait=5.0,
+                 store_dir=str(tmp_path))
 
     def test_interrupt_mid_pass_checkpoints_and_returns(self, tmp_path,
                                                         monkeypatch):
-        ck = str(tmp_path / "ck.json")
-        monkeypatch.setattr(WeightedGreedySearch, "run",
+        store = str(tmp_path / "store")
+        monkeypatch.setattr(ScenarioExecutor, "run_pass",
                             _raise_keyboard_interrupt)
         result = hunt(FACTORY, seed=1, message_types=["PrePrepare"],
                       space_config=TINY_SPACE, max_passes=2, max_wait=5.0,
-                      checkpoint_path=ck)
+                      store_dir=store)
         assert result.interrupted
         assert result.passes == []
-        data = load_checkpoint(ck)
+        data = _store_checkpoint(store)
         assert data["passes"] == []
         assert not data["complete"]
 
 
-def _raise_keyboard_interrupt(self, message_types=None, exclude=None):
+def hunt_json(result) -> str:
+    return json.dumps(hunt_result_to_dict(result), sort_keys=True)
+
+
+def _store_checkpoint(directory: str) -> dict:
+    store = RunStore(directory)
+    try:
+        return store.load_checkpoint()
+    finally:
+        store.close()
+
+
+def _raise_keyboard_interrupt(self, message_types=None, exclude=None,
+                              **kwargs):
     raise KeyboardInterrupt
 
 
@@ -458,18 +472,11 @@ class TestCliSupervision:
         args = build_parser().parse_args(
             ["hunt", "pbft", "--inject-faults", "restore=0.1,max=2",
              "--watchdog", "500000", "--max-retries", "4",
-             "--no-shared-pages", "--checkpoint", "/tmp/x.json", "--resume"])
+             "--no-shared-pages"])
         assert args.inject_faults == "restore=0.1,max=2"
         assert args.watchdog == 500000
         assert args.max_retries == 4
         assert args.no_shared_pages
-        assert args.checkpoint == "/tmp/x.json"
-        assert args.resume
-
-    def test_hunt_resume_requires_checkpoint(self):
-        from repro.cli import main
-        with pytest.raises(SystemExit):
-            main(["hunt", "pbft", "--resume"])
 
     def test_search_interrupt_prints_partial_report(self, capsys,
                                                     monkeypatch):
@@ -484,16 +491,16 @@ class TestCliSupervision:
     def test_hunt_interrupt_prints_resume_hint(self, capsys, monkeypatch,
                                                tmp_path):
         from repro.cli import EXIT_INTERRUPTED, main
-        ck = str(tmp_path / "ck.json")
-        monkeypatch.setattr(WeightedGreedySearch, "run",
+        store = str(tmp_path / "store")
+        monkeypatch.setattr(ScenarioExecutor, "run_pass",
                             _raise_keyboard_interrupt)
         code = main(["hunt", "pbft", "--types", "PrePrepare", "--fast",
                      "--no-lying", "--warmup", "1", "--window", "2",
-                     "--checkpoint", ck])
+                     "--store", store])
         assert code == EXIT_INTERRUPTED
         out = capsys.readouterr().out
         assert "INTERRUPTED" in out
-        assert "--resume" in out
+        assert f"--store {store}" in out
 
     def test_hunt_cli_fault_plan_roundtrip(self, capsys):
         from repro.cli import main

@@ -31,6 +31,7 @@ from repro.parallel.health import (HealthPolicy, WorkerHealth,
                                    quarantined_return, task_key, task_units)
 from repro.search.hunt import hunt
 from repro.search.weighted import WeightedGreedySearch
+from repro.store.runstore import RunStore
 from repro.systems.paxos.testbed import paxos_testbed
 
 SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
@@ -310,28 +311,25 @@ class TestHuntRecovery:
 
     def test_aborted_pass_salvages_checkpoint(self, tmp_path, monkeypatch):
         """A hunt that aborts mid-recovery checkpoints its completed
-        passes, so --resume continues instead of starting over."""
-        checkpoint = tmp_path / "hunt.json"
-        clean = hunt(FACTORY, seed=3, message_types=TYPES,
-                     space_config=SPACE, max_wait=5.0, max_passes=1,
-                     checkpoint_path=str(checkpoint))
-        assert checkpoint.exists()
+        passes to the store, so a rerun continues instead of starting
+        over."""
+        store = str(tmp_path / "store")
+        kwargs = dict(seed=3, message_types=TYPES, space_config=SPACE,
+                      max_wait=5.0)
+        clean = hunt(FACTORY, max_passes=1, store_dir=store, **kwargs)
         monkeypatch.setenv("REPRO_WORKER_CHAOS", "kill:*:")
         with pytest.raises(SearchError):
-            hunt(FACTORY, seed=3, message_types=TYPES,
-                 space_config=SPACE, max_wait=5.0, max_passes=3,
-                 checkpoint_path=str(checkpoint), resume=True,
-                 workers=2,
+            hunt(FACTORY, max_passes=3, store_dir=store, workers=2,
                  health_policy=HealthPolicy(worker_retries=0,
-                                            degrade=False))
+                                            degrade=False), **kwargs)
         # pass 1's findings survived the abort
-        data = json.loads(checkpoint.read_text())
+        reopened = RunStore(store)
+        data = reopened.load_checkpoint()
+        reopened.close()
         assert len(data["passes"]) == len(clean.passes)
         monkeypatch.delenv("REPRO_WORKER_CHAOS")
-        resumed = hunt(FACTORY, seed=3, message_types=TYPES,
-                       space_config=SPACE, max_wait=5.0, max_passes=3,
-                       checkpoint_path=str(checkpoint), resume=True)
-        assert resumed.resumed_passes == len(clean.passes)
-        full = hunt(FACTORY, seed=3, message_types=TYPES,
-                    space_config=SPACE, max_wait=5.0, max_passes=3)
-        assert resumed.attack_names() == full.attack_names()
+        resumed = hunt(FACTORY, max_passes=3, store_dir=store, **kwargs)
+        assert resumed.store_report.counters[
+            "store.resume.passes_restored"] == len(clean.passes)
+        full = hunt(FACTORY, max_passes=3, **kwargs)
+        assert hunt_json(resumed) == hunt_json(full)

@@ -4,7 +4,8 @@ The parallel executor's contract is strict: a pass sharded across workers
 must produce a report *byte-identical* (same JSON serialization) to the
 serial algorithm's — same findings, same float-exact ledger, same
 supervision events.  These tests assert that for all three algorithms, for
-full hunts with checkpoints, and under an environmental fault schedule.
+full hunts with run-store checkpoints, and under an environmental fault
+schedule.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.search.brute import BruteForceSearch
 from repro.search.greedy import GreedySearch
 from repro.search.hunt import hunt
 from repro.search.weighted import WeightedGreedySearch
+from repro.store.runstore import RunStore
 from repro.systems.paxos.testbed import paxos_testbed
 
 SPACE = ActionSpaceConfig(delays=(1.0,), drop_probabilities=(1.0,),
@@ -61,6 +63,14 @@ class TestParallelPassIdentity:
             parallel = executor.run_pass(message_types=["Accept"])
         assert report_json(parallel) == report_json(serial)
 
+    def test_greedy_rejects_more_confirmations_than_rounds(self):
+        # the same check the serial GreedySearch makes: a pass whose
+        # confirmations exceed its rounds can never confirm an attack
+        with pytest.raises(ValueError, match="confirmations"):
+            ScenarioExecutor(FACTORY, seed=3, algorithm="greedy", workers=2,
+                             space_config=SPACE, max_wait=5.0,
+                             rounds=1, confirmations=2)
+
     def test_brute_matches_serial(self):
         serial = BruteForceSearch(
             FACTORY, seed=3, space_config=SPACE,
@@ -86,20 +96,20 @@ class TestParallelPassIdentity:
 
 class TestParallelHuntIdentity:
     def test_hunt_workers_byte_identical(self, tmp_path):
-        serial_ckpt = str(tmp_path / "serial.json")
-        par_ckpt = str(tmp_path / "parallel.json")
         serial = hunt(FACTORY, seed=3, message_types=TYPES,
-                      space_config=SPACE, max_passes=3, max_wait=5.0,
-                      checkpoint_path=serial_ckpt)
+                      space_config=SPACE, max_passes=3, max_wait=5.0)
         parallel = hunt(FACTORY, seed=3, message_types=TYPES,
                         space_config=SPACE, max_passes=3, max_wait=5.0,
-                        checkpoint_path=par_ckpt, workers=4)
+                        store_dir=str(tmp_path), workers=4)
         assert hunt_json(parallel) == hunt_json(serial)
-        with open(serial_ckpt) as fh:
-            serial_state = fh.read()
-        with open(par_ckpt) as fh:
-            parallel_state = fh.read()
-        assert parallel_state == serial_state
+        # the parallel store's pass checkpoint holds the serial passes
+        store = RunStore(str(tmp_path))
+        state = store.load_checkpoint()
+        store.close()
+        serial_state = hunt_result_to_dict(serial)
+        for key in ("passes", "ledger"):
+            assert json.dumps(state[key], sort_keys=True) == \
+                json.dumps(serial_state[key], sort_keys=True)
         assert parallel.worker_breakdown  # side channel, not serialized
         assert "worker_breakdown" not in hunt_json(parallel)
 

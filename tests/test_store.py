@@ -16,9 +16,8 @@ from repro.analysis.reports import hunt_result_to_dict
 from repro.attacks.space import ActionSpaceConfig
 from repro.common.errors import ConfigError
 from repro.controller.costs import CostLedger
-from repro.search.hunt import (CHECKPOINT_VERSION, HuntResult, hunt,
-                               load_checkpoint, migrate_checkpoint,
-                               save_checkpoint)
+from repro.search.hunt import (CHECKPOINT_VERSION, HuntResult,
+                               _checkpoint_dict, hunt, migrate_checkpoint)
 from repro.search.weighted import ClusterWeights
 from repro.store.budget import (CACHE_REBUILD, SnapshotBudget, StoreReport,
                                 parse_bytes)
@@ -201,34 +200,24 @@ def _dummy_state():
 
 class TestCheckpointSatellites:
     def test_save_checkpoint_is_atomic_and_loadable(self, tmp_path):
-        path = str(tmp_path / "ck.json")
         system, seed, excluded, weights, result = _dummy_state()
-        save_checkpoint(path, system, seed, excluded, weights, result)
-        assert not os.path.exists(path + ".tmp")
-        data = load_checkpoint(path)
+        store = RunStore(str(tmp_path), seed=seed)
+        store.save_checkpoint(_checkpoint_dict(system, seed, excluded,
+                                               weights, result))
+        assert not [f for f in os.listdir(str(tmp_path))
+                    if f.endswith(".tmp")]
+        data = store.load_checkpoint()
+        store.close()
         assert data["version"] == CHECKPOINT_VERSION
         assert data["system"] == "paxos"
         assert data["written_at_pass"] == 0
 
-    def test_truncated_checkpoint_names_the_path(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text('{"version": 2, "passes": [')  # torn write
-        with pytest.raises(ConfigError) as err:
-            load_checkpoint(str(path))
-        assert str(path) in str(err.value)
-        assert "truncated or corrupt" in str(err.value)
-
-    def test_missing_checkpoint_names_the_path(self, tmp_path):
-        path = str(tmp_path / "nope.json")
-        with pytest.raises(ConfigError) as err:
-            load_checkpoint(path)
-        assert path in str(err.value)
-
     def test_non_object_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ConfigError):
-            load_checkpoint(str(path))
+        (tmp_path / "checkpoint-000001.json").write_text("[1, 2, 3]")
+        store = RunStore(str(tmp_path), seed=1)
+        assert store.load_checkpoint() is None
+        assert store.counters()["store.checkpoint.fallbacks"] == 1
+        store.close()
 
     def test_v1_checkpoint_migrates_forward(self):
         v1 = {"version": 1, "system": "paxos", "seed": 3, "excluded": [],
@@ -297,7 +286,7 @@ class TestRunStore:
 
     def test_journal_dedupes_replayed_probes(self, tmp_path):
         from repro.parallel.recording import StepTrace
-        from repro.parallel.worker import ContextProbe
+        from repro.search.probes import ContextProbe
         store = RunStore(str(tmp_path), seed=1)
         probe = ContextProbe(found=True, trace=StepTrace())
         store.journal_context("Accept", probe)
@@ -364,9 +353,6 @@ class TestDurableHunt:
         with pytest.raises(ConfigError):
             hunt(FACTORY, store_dir=str(tmp_path), injection_cache=True,
                  **kwargs)
-        with pytest.raises(ConfigError):
-            hunt(FACTORY, store_dir=str(tmp_path),
-                 checkpoint_path=str(tmp_path / "ck.json"), **kwargs)
         with pytest.raises(ConfigError):
             hunt(FACTORY, snapshot_budget=1024, **kwargs)
 
